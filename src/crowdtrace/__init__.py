@@ -10,7 +10,6 @@ from .gen import GenConfig, generate, write_labels
 from .join import PairKey, SftQuadNode, TTreeNode, irjq, irjq_unpruned, sft_build
 from .metric import (
     QueryParams,
-    SegmentScore,
     exhaustive_irq,
     segment_ir,
     span_weight,
@@ -76,7 +75,6 @@ __all__ = [
     "STKey",
     "ScanRange",
     "Segment",
-    "SegmentScore",
     "SegmentationConfig",
     "SftQuadNode",
     "TTreeNode",

@@ -2,8 +2,9 @@
 
 A store is a directory holding the segment log plus a meta.json recording the
 index and segmentation configuration used at ingest; queries re-read that
-configuration so keys always match. The store path comes from --store or the
-CONTACT_STORE_DIR environment variable (default ./store).
+configuration so keys always match, and a later ingest must repeat it. The
+store path comes from --store or the CONTACT_STORE_DIR environment variable
+(default ./store).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import TextIO
 
 from . import bench as bench_mod
 from .gen import GenConfig, generate, write_labels
-from .join import DEFAULT_LEAF_CAPACITY, irjq
+from .join import DEFAULT_LEAF_CAPACITY, JOIN_COUNTER_KEYS, irjq
 from .metric import QueryParams
 from .model import SegmentationConfig, Trajectory, load_trajectories_csv, write_points_csv
-from .query import irq
+from .query import COUNTER_KEYS, irq
 from .store import FileBackend, ingest, load_trajectory
 from .xz import TimeUnit, XzConfig
 
@@ -40,8 +41,8 @@ def _default_store() -> str:
     return os.environ.get("CONTACT_STORE_DIR", "./store")
 
 
-def _save_meta(store_dir: str, xz_cfg: XzConfig, seg_cfg: SegmentationConfig) -> None:
-    meta = {
+def _meta(xz_cfg: XzConfig, seg_cfg: SegmentationConfig) -> dict:
+    return {
         "resolution": xz_cfg.resolution,
         "epoch": xz_cfg.epoch,
         "period_len": xz_cfg.period_len,
@@ -51,9 +52,18 @@ def _save_meta(store_dir: str, xz_cfg: XzConfig, seg_cfg: SegmentationConfig) ->
         "t_seg": seg_cfg.t_seg,
         "max_speed": seg_cfg.max_speed,
     }
-    with open(os.path.join(store_dir, META_NAME), "w", encoding="utf-8") as fh:
+
+
+def _save_meta(store_dir: str, meta: dict) -> None:
+    """Write meta.json whole or not at all: a temporary file, then a rename."""
+    path = os.path.join(store_dir, META_NAME)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def _open_store(store_dir: str) -> tuple[FileBackend, XzConfig, SegmentationConfig]:
@@ -133,10 +143,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         resolution=args.resolution, period_len=args.period_len, num_shards=args.shards
     )
     seg_cfg = SegmentationConfig(d_seg=args.d_seg, t_seg=args.t_seg, max_speed=args.max_speed)
-    os.makedirs(args.store, exist_ok=True)
+    meta = _meta(xz_cfg, seg_cfg)
+    meta_path = os.path.join(args.store, META_NAME)
+    if os.path.isfile(meta_path):
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+        changed = sorted(k for k in meta.keys() | stored.keys() if stored.get(k) != meta.get(k))
+        if changed:
+            was = ", ".join(f"{k}={stored.get(k)}" for k in changed)
+            now = ", ".join(f"{k}={meta.get(k)}" for k in changed)
+            raise CliError(f"store {args.store!r} was built with {was}; this ingest asks for {now}")
+    else:
+        os.makedirs(args.store, exist_ok=True)
+        _save_meta(args.store, meta)
     with FileBackend(os.path.join(args.store, LOG_NAME)) as backend:
         written = ingest(trajectories, xz_cfg, seg_cfg, backend)
-    _save_meta(args.store, xz_cfg, seg_cfg)
     print(f"ingested {written} segments from {len(trajectories)} trajectories into {args.store}")
     return 0
 
@@ -168,7 +189,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         for traj_id, ir in results:
             writer.writerow([traj_id, f"{ir:.9f}"])
         if args.explain:
-            for key in ("candidates", "evaluated", "lemma1", "lemma2", "lemma3", "lemma4"):
+            for key in COUNTER_KEYS:
                 out.write(f"# {key}={counters.get(key, 0)}\n")
     finally:
         if out is not sys.stdout:
@@ -202,7 +223,7 @@ def cmd_join(args: argparse.Namespace) -> int:
         for qid, tid, ir in results:
             writer.writerow([qid, tid, f"{ir:.9f}"])
         if args.explain:
-            for key in ("scan_sets", "pairs_scored", "pairs_removed"):
+            for key in JOIN_COUNTER_KEYS:
                 out.write(f"# {key}={counters.get(key, 0)}\n")
     finally:
         if out is not sys.stdout:

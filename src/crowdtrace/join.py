@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .metric import PointArray, QueryParams, SegmentScore, segment_ir, span_weight
+from .metric import PointArray, QueryParams, segment_ir, span_weight
 from .model import EARTH_RADIUS_M, MBR, WORLD, Segment, SegmentationConfig, TimeRange, Trajectory, filter_noise, segment
 from .store import StoreBackend, st_query
 from .xz import XzConfig
@@ -226,8 +226,7 @@ def irjq(
     sft = sft_build(all_segments, resolution, capacity, max_leaf_span)
 
     removed: set[PairKey] = set()
-    remain: set[PairKey] = set()
-    scores: dict[PairKey, dict[str, SegmentScore]] = {}
+    scores: dict[PairKey, dict[str, float]] = {}  # pair -> query sid -> weighted score
     tally = dict.fromkeys(JOIN_COUNTER_KEYS, 0)
 
     for quad_leaf in sft.quad_leaves():
@@ -260,24 +259,17 @@ def irjq(
                     irp = segment_ir(qseg, points[traj_id], params) * w
                     if prune and irp < params.theta - 1.0 + w:
                         removed.add(pair)
-                        remain.discard(pair)
                         tally["pairs_removed"] += 1
                         continue
-                    remain.add(pair)
-                    scores.setdefault(pair, {})[qseg.sid] = SegmentScore(
-                        query_traj_id=pair[0],
-                        candidate_traj_id=pair[1],
-                        query_segment_sid=qseg.sid,
-                        irp=irp,
-                    )
+                    scores.setdefault(pair, {})[qseg.sid] = irp
 
     results: list[tuple[str, str, float]] = []
     for pair in sorted(scores):
-        if prune and (pair in removed or pair not in remain):
+        if pair in removed:
             continue
         total = 0.0
         for sid in sorted(scores[pair]):
-            total += scores[pair][sid].irp
+            total += scores[pair][sid]
         total = min(1.0, total)  # guard float drift above the bound of 1
         if total > params.theta:
             results.append((pair[0], pair[1], total))

@@ -53,16 +53,6 @@ class QueryParams:
             raise ValueError("theta_d and theta_t must be strictly positive")
 
 
-@dataclass(frozen=True, slots=True)
-class SegmentScore:
-    """One query segment's weighted contribution against one candidate."""
-
-    query_traj_id: str
-    candidate_traj_id: str
-    query_segment_sid: str
-    irp: float
-
-
 class PointArray:
     """Column layout of a location list for vectorized scoring."""
 

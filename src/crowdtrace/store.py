@@ -6,8 +6,9 @@ plus ``scan(low, high)`` yielding keys in strict byte order within
 single-file append-only log replayed into an index on open.
 
 ``st_query`` expands a window by the spatial/temporal reach, scans the key
-ranges planned by the curve index, then refines with the exact box and time
-tests, so its result equals a full linear scan.
+ranges planned by the curve index, then refines each scanned record with the
+exact box and time tests on its fixed header (``peek_header``), so its result
+equals a full linear scan. Only records that pass are decoded.
 """
 
 from __future__ import annotations
@@ -63,9 +64,12 @@ class FileBackend:
     """Single-file append-only log with an in-memory sorted key index.
 
     Writes append length-prefixed frames; the key index is rebuilt by
-    replaying the log on open, with later writes winning. Values are read
-    back from the file on scan. Single writer; scans must not interleave
-    with writes.
+    replaying the log on open, with later writes winning. A torn frame at the
+    tail, left by a writer that stopped mid-frame, is skipped on open and cut
+    off by the first write, so new frames follow the last whole one; a
+    backend that only reads never changes the file. Values are read back with
+    positional reads, so several threads may scan one backend at once.
+    Single writer; scans must not interleave with writes.
     """
 
     def __init__(self, path: str):
@@ -79,14 +83,17 @@ class FileBackend:
             self._wf.write(_LOG_MAGIC)
             self._wf.flush()
         self._rf = open(path, "rb")
-        self._replay()
+        end = self._replay()
+        self._torn_at = end if self._wf.tell() > end else None
 
-    def _replay(self) -> None:
+    def _replay(self) -> int:
+        """Index every whole frame; returns the offset just past the last one."""
         size = os.path.getsize(self.path)
         self._rf.seek(0)
         magic = self._rf.read(len(_LOG_MAGIC))
         if magic != _LOG_MAGIC:
             raise ValueError(f"{self.path} is not a segment log")
+        end = len(magic)
         while True:
             header = self._rf.read(_FRAME.size)
             if len(header) < _FRAME.size:
@@ -98,10 +105,18 @@ class FileBackend:
                 break  # torn tail write; ignore the partial frame
             self._rf.seek(val_len, os.SEEK_CUR)
             self._index[key] = (offset, val_len)
+            end = offset + val_len
         self._keys = sorted(self._index)
         self._sorted = True
+        return end
 
     def put(self, key: bytes, value: bytes) -> None:
+        if self._torn_at is not None:
+            # frames after the torn one would be lost on the next replay
+            log.warning("%s: cutting a torn tail at byte %d", self.path, self._torn_at)
+            self._wf.truncate(self._torn_at)
+            self._wf.seek(self._torn_at)
+            self._torn_at = None
         self._wf.write(_FRAME.pack(len(key), len(value)))
         self._wf.write(key)
         offset = self._wf.tell()
@@ -118,10 +133,10 @@ class FileBackend:
             self._sorted = True
         lo = bisect_left(self._keys, low)
         hi = bisect_left(self._keys, high)
+        fd = self._rf.fileno()
         for key in self._keys[lo:hi]:
             offset, val_len = self._index[key]
-            self._rf.seek(offset)
-            yield key, self._rf.read(val_len)
+            yield key, os.pread(fd, val_len, offset)
 
     def close(self) -> None:
         self._wf.flush()
@@ -144,6 +159,7 @@ _HEADER = struct.Struct("<4dqq")
 _LEN = struct.Struct("<H")
 _COUNT = struct.Struct("<I")
 _POINT = struct.Struct("<ddq")
+_PEEK = struct.Struct("<4dqqH")  # _HEADER, then the length of the trajectory id
 
 
 def encode_segment(seg: Segment) -> bytes:
@@ -159,6 +175,15 @@ def encode_segment(seg: Segment) -> bytes:
     for loc in seg.locations:
         parts.append(_POINT.pack(loc.lon, loc.lat, loc.t))
     return b"".join(parts)
+
+
+def peek_header(buf: bytes) -> tuple[float, float, float, float, int, int, str]:
+    """An encoded segment's box corners, st, et and trajectory id, read from
+    its fixed header and the length-prefixed id after it; no point is decoded.
+    """
+    min_lon, min_lat, max_lon, max_lat, st, et, n = _PEEK.unpack_from(buf, 0)
+    traj_id = buf[_PEEK.size : _PEEK.size + n].decode("utf-8")
+    return min_lon, min_lat, max_lon, max_lat, st, et, traj_id
 
 
 def decode_segment(buf: bytes) -> Segment:
@@ -278,32 +303,51 @@ def st_query(
     cfg: XzConfig,
 ) -> list[Segment]:
     """All stored segments intersecting the window and time range, each
-    expanded by the spatial/temporal reach. Exact: the scan-range superset is
-    refined by the true box and time-overlap tests. Sorted by sid.
+    expanded by the spatial/temporal reach. Exact: every record in the planned
+    scan ranges is refined by the true box and time-overlap tests on its
+    header, and only the survivors are decoded. Sorted by sid.
     """
     w = expand_mbr(window, theta_d)
     t = expand_time_range(tr, theta_t)
     found: dict[str, Segment] = {}
     for rng in st_scan_ranges(w, t, cfg):
         for _, value in backend.scan(rng.low, rng.high):
-            seg = decode_segment(value)
-            if seg.sid in found:
-                continue
-            if seg.mbr.intersects(w) and seg.st <= t.end and t.start <= seg.et:
-                found[seg.sid] = seg
+            min_lon, min_lat, max_lon, max_lat, st, et, _ = peek_header(value)
+            # MBR.intersects(w) and the time overlap, on the raw header fields
+            if (
+                min_lon <= w.max_lon
+                and w.min_lon <= max_lon
+                and min_lat <= w.max_lat
+                and w.min_lat <= max_lat
+                and st <= t.end
+                and t.start <= et
+            ):
+                seg = decode_segment(value)
+                found.setdefault(seg.sid, seg)
     return [found[sid] for sid in sorted(found)]
+
+
+# all keys are 13 header bytes plus a UTF-8 sid, so this high bound tops them
+_ALL_KEYS = (b"", b"\xff" * 14)
 
 
 def scan_all(backend: StoreBackend) -> Iterator[Segment]:
     """Decode every stored segment in key order."""
-    # all keys are 13 header bytes plus a UTF-8 sid, so this high bound tops them
-    for _, value in backend.scan(b"", b"\xff" * 14):
+    for _, value in backend.scan(*_ALL_KEYS):
         yield decode_segment(value)
 
 
 def load_trajectory(backend: StoreBackend, traj_id: str) -> Trajectory | None:
-    """Reassemble one trajectory from its stored segments (full store scan)."""
-    segs = [seg for seg in scan_all(backend) if seg.traj_id == traj_id]
+    """Reassemble one trajectory from its stored segments.
+
+    Scans the whole store but decodes only the records whose header names
+    ``traj_id``.
+    """
+    segs = [
+        decode_segment(value)
+        for _, value in backend.scan(*_ALL_KEYS)
+        if peek_header(value)[6] == traj_id
+    ]
     if not segs:
         return None
     segs.sort(key=lambda s: (s.st, s.sid))

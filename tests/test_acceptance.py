@@ -33,6 +33,8 @@ from crowdtrace import (
     segment,
     st_query,
 )
+import crowdtrace.join as join_mod
+import crowdtrace.query as query_mod
 from crowdtrace.bench import median_ms
 from crowdtrace.store import expand_mbr, expand_time_range
 from conftest import build_workload, loc
@@ -214,7 +216,22 @@ def _pruning_benchmark_store(n_traj=5000, seed=77):
     return backend, xz_cfg, seg_cfg, patient, join_queries
 
 
-def test_a4_pruning_saves_time_at_scale():
+def count_segment_ir(monkeypatch, run) -> int:
+    """``segment_ir`` calls ``run`` makes through the query and join engines."""
+    calls = 0
+    with monkeypatch.context() as m:
+        for module in (query_mod, join_mod):
+            def counted(*args, _segment_ir=module.segment_ir):
+                nonlocal calls
+                calls += 1
+                return _segment_ir(*args)
+
+            m.setattr(module, "segment_ir", counted)
+        run()
+    return calls
+
+
+def test_a4_pruning_saves_time_at_scale(monkeypatch):
     with criterion("A4", "pruned engines are no slower than unpruned on 5000 trajectories"):
         backend, xz_cfg, seg_cfg, patient, join_queries = _pruning_benchmark_store()
         params = TABLE_DEFAULTS
@@ -228,6 +245,11 @@ def test_a4_pruning_saves_time_at_scale():
         assert pruned >= 1
         assert len(irq_res) > 0
         assert irq_ms <= irq_up_ms, f"irq {irq_ms:.1f}ms vs unpruned {irq_up_ms:.1f}ms"
+        irq_calls = count_segment_ir(
+            monkeypatch, lambda: irq(patient, params, backend, xz_cfg, seg_cfg))
+        irq_up_calls = count_segment_ir(
+            monkeypatch, lambda: irq_unpruned(patient, params, backend, xz_cfg, seg_cfg))
+        assert irq_calls < irq_up_calls, f"irq {irq_calls} vs unpruned {irq_up_calls} segment_ir calls"
 
         join_counters: dict[str, int] = {}
         irjq_ms, _ = median_ms(
@@ -238,9 +260,15 @@ def test_a4_pruning_saves_time_at_scale():
         )
         assert join_counters["pairs_removed"] >= 1
         assert irjq_ms <= irjq_up_ms, f"irjq {irjq_ms:.1f}ms vs unpruned {irjq_up_ms:.1f}ms"
+        irjq_calls = count_segment_ir(
+            monkeypatch, lambda: irjq(join_queries, params, backend, xz_cfg, seg_cfg))
+        irjq_up_calls = count_segment_ir(
+            monkeypatch, lambda: irjq_unpruned(join_queries, params, backend, xz_cfg, seg_cfg))
+        assert irjq_calls < irjq_up_calls, (
+            f"irjq {irjq_calls} vs unpruned {irjq_up_calls} segment_ir calls")
         print(
-            f"  (irq {irq_ms:.0f}ms vs {irq_up_ms:.0f}ms; "
-            f"irjq {irjq_ms:.0f}ms vs {irjq_up_ms:.0f}ms; "
+            f"  (irq {irq_ms:.0f}ms vs {irq_up_ms:.0f}ms, {irq_calls} vs {irq_up_calls} segment_ir; "
+            f"irjq {irjq_ms:.0f}ms vs {irjq_up_ms:.0f}ms, {irjq_calls} vs {irjq_up_calls} segment_ir; "
             f"{pruned} candidates pruned, {join_counters['pairs_removed']} pairs removed)"
         )
 

@@ -180,3 +180,48 @@ def test_store_dir_from_environment(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["ingest", "--input", str(points)], capsys)
     assert code == 0
     assert (tmp_path / "envstore" / "segments.log").exists()
+
+
+def test_ingest_refuses_a_different_configuration(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    run(["gen", "--seed", "5", "--n-traj", "40", "--out", str(points)], capsys)
+    store = tmp_path / "store"
+    assert run(["ingest", "--input", str(points), "--store", str(store)], capsys)[0] == 0
+    query = ["query", "--store", str(store), "--traj-id", "t00000"]
+    _, before, _ = run(query, capsys)
+    meta = (store / "meta.json").read_bytes()
+    log = (store / "segments.log").read_bytes()
+
+    code, out, err = run(
+        ["ingest", "--input", str(points), "--store", str(store), "--resolution", "18"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "resolution=15" in err and "resolution=18" in err
+    assert (store / "meta.json").read_bytes() == meta
+    assert (store / "segments.log").read_bytes() == log
+    assert run(query, capsys)[1] == before
+
+
+def test_reingest_with_the_same_configuration(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    store = tmp_path / "store"
+    flags = ["--store", str(store), "--resolution", "12", "--period-len", "3600"]
+    assert run(["ingest", "--input", str(points)] + flags, capsys)[0] == 0
+    assert run(["ingest", "--input", str(points)] + flags, capsys)[0] == 0
+    assert sorted(os.listdir(store)) == ["meta.json", "segments.log"]
+    code, out, _ = run(["query", "--store", str(store), "--traj-id", "alpha"], capsys)
+    assert code == 0 and out == "traj_id,ir\nbeta,1.000000000\n"
+
+
+def test_join_explain_lists_every_join_counter(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    store = tmp_path / "store"
+    run(["ingest", "--input", str(points), "--store", str(store)], capsys)
+    code, out, _ = run(
+        ["join", "--store", str(store), "--query-csv", str(points), "--explain"], capsys
+    )
+    assert code == 0
+    comment = [l.split("=")[0] for l in out.splitlines() if l.startswith("#")]
+    assert comment == ["# scan_sets", "# pairs_scored", "# pairs_removed"]

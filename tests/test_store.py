@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,9 @@ from crowdtrace import (
     st_query,
     storage_segments,
 )
-from crowdtrace.store import expand_mbr, expand_time_range
-from crowdtrace.xz import bin_of
+import crowdtrace.store as store
+from crowdtrace.store import expand_mbr, expand_time_range, peek_header
+from crowdtrace.xz import bin_of, encode_key
 from conftest import loc
 
 CFG = XzConfig(resolution=10)
@@ -55,7 +57,11 @@ locations_strategy = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_codec_roundtrip_exact(locs, name):
     seg = Segment.build(f"{name}#0", name, locs)
-    assert decode_segment(encode_segment(seg)) == seg
+    buf = encode_segment(seg)
+    assert decode_segment(buf) == seg
+    box = seg.mbr
+    assert peek_header(buf) == (
+        box.min_lon, box.min_lat, box.max_lon, box.max_lat, seg.st, seg.et, seg.traj_id)
 
 
 # --- backends ------------------------------------------------------------------------
@@ -89,6 +95,67 @@ def test_file_backend_survives_reopen(tmp_path):
         backend.put(b"k1", b"v1-final")
     with FileBackend(path) as backend:
         assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"v1-final", b"k2": b"v2"}
+
+
+def test_file_backend_torn_tail_is_cut_by_the_next_write(tmp_path):
+    path = tmp_path / "segments.log"
+    with FileBackend(str(path)) as backend:
+        backend.put(b"k1", b"v1")
+        backend.put(b"k2", b"v2")
+    with open(path, "ab") as fh:
+        fh.write(b"\x07\x00\x00")  # a torn frame header
+    torn = path.read_bytes()
+    with FileBackend(str(path)) as backend:
+        assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"v1", b"k2": b"v2"}
+    assert path.read_bytes() == torn  # reading alone leaves the file as it was
+    with FileBackend(str(path)) as backend:
+        backend.put(b"k3", b"v3")
+    with FileBackend(str(path)) as backend:
+        assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"v1", b"k2": b"v2", b"k3": b"v3"}
+
+
+def test_file_backend_torn_value_is_cut_by_the_next_write(tmp_path):
+    path = tmp_path / "segments.log"
+    with FileBackend(str(path)) as backend:
+        backend.put(b"k1", b"v1")
+        backend.put(b"k2", b"a value cut short")
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 5)
+    with FileBackend(str(path)) as backend:
+        assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"v1"}
+        backend.put(b"k3", b"v3")
+    with FileBackend(str(path)) as backend:
+        assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"v1", b"k3": b"v3"}
+
+
+def test_file_backend_concurrent_scans(tmp_path):
+    rng = random.Random(4)
+    items = {bytes([rng.randrange(256) for _ in range(6)]): rng.randbytes(rng.randint(1, 300))
+             for _ in range(400)}
+    path = str(tmp_path / "segments.log")
+    with FileBackend(path) as backend:
+        for key, value in items.items():
+            backend.put(key, value)
+    want = sorted(items.items())
+    errors = []
+
+    def reader(seed):
+        r = random.Random(seed)
+        try:
+            for _ in range(30):
+                low, high = sorted(r.randbytes(2) for _ in range(2))
+                got = list(backend.scan(low, high))
+                assert got == [(k, v) for k, v in want if low <= k < high]
+        except BaseException as exc:  # surfaced below, from the main thread
+            errors.append(exc)
+
+    with FileBackend(path) as backend:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert errors == []
 
 
 def test_file_backend_rejects_foreign_file(tmp_path):
@@ -247,6 +314,103 @@ def test_st_query_equals_linear_scan():
             key=lambda s: s.sid,
         )
         assert got == want
+
+
+def _mixed_file_store(tmp_path, cfg):
+    """A file store whose scans meet records failing the header test, plus a
+    stale copy of one sid under a second key."""
+    rng = random.Random(8)
+    backend = FileBackend(str(tmp_path / "segments.log"))
+    for i in range(200):
+        t0 = 3600 * rng.randrange(0, 6) + rng.randrange(0, 3600 - 150)  # one period each
+        east = rng.uniform(-3_000, 3_000)
+        north = rng.uniform(-3_000, 3_000)
+        pts = [loc(east + rng.uniform(-60, 60), north + rng.uniform(-60, 60), t0 + 30 * k)
+               for k in range(rng.randint(1, 5))]
+        seg = Segment.build(f"t{i}#0", f"t{i}", pts)
+        backend.put(encode_key(seg, cfg).packed(), encode_segment(seg))
+    # t0#0 again, moved 2 km east: another key, the same sid
+    stale = Segment.build("t0#0", "t0", [loc(2000, 0, 100), loc(2010, 0, 160)])
+    backend.put(encode_key(stale, cfg).packed(), encode_segment(stale))
+    return backend
+
+
+def _decode_everything(backend, w, t):
+    """The window query as a linear scan that decodes every record in key
+    order and keeps the first copy of each sid that passes."""
+    found = {}
+    for seg in scan_all(backend):
+        if seg.mbr.intersects(w) and seg.st <= t.end and t.start <= seg.et:
+            found.setdefault(seg.sid, seg)
+    return [found[sid] for sid in sorted(found)]
+
+
+def test_st_query_on_file_backend_equals_decode_everything_scan(tmp_path):
+    rng = random.Random(9)
+    cfg = XzConfig(resolution=12, period_len=3600)
+    backend = _mixed_file_store(tmp_path, cfg)
+    windows = []
+    for _ in range(60):
+        sw = loc(rng.uniform(-3_500, 2_500), rng.uniform(-3_500, 2_500), 0)
+        ne = loc(0, 0, 0, lon0=sw.lon + 0.01, lat0=sw.lat + 0.008)
+        t0 = rng.randrange(0, 20_000)
+        windows.append((MBR(sw.lon, sw.lat, ne.lon, ne.lat), TimeRange(t0, t0 + rng.randrange(0, 3_000))))
+    stale_box = MBR(loc(1990, -10).lon, loc(1990, -10).lat, loc(2020, 10).lon, loc(2020, 10).lat)
+    windows.append((stale_box, TimeRange(100, 160)))  # the stale copy only
+    windows.append((MBR(116.0, 39.5, 117.0, 40.5), TimeRange(0, 30_000)))  # both copies
+    try:
+        for w, tr in windows:
+            got = st_query(w, tr, 50.0, 120.0, backend, cfg)
+            want = _decode_everything(backend, expand_mbr(w, 50.0), expand_time_range(tr, 120.0))
+            assert got == want
+            assert [s.sid for s in got].count("t0#0") <= 1
+        got = st_query(stale_box, TimeRange(100, 160), 50.0, 120.0, backend, cfg)
+        assert [(s.sid, s.st) for s in got if s.traj_id == "t0"] == [("t0#0", 100)]
+    finally:
+        backend.close()
+
+
+def test_st_query_decodes_only_header_survivors(tmp_path, monkeypatch):
+    cfg = XzConfig(resolution=12, period_len=3600)
+    backend = _mixed_file_store(tmp_path, cfg)
+    scanned: list[bytes] = []
+    decoded: list[bytes] = []
+    scan, decode = backend.scan, store.decode_segment
+
+    def counted_scan(low, high):
+        for key, value in scan(low, high):
+            scanned.append(value)
+            yield key, value
+
+    def counted_decode(value):
+        decoded.append(value)
+        return decode(value)
+
+    monkeypatch.setattr(backend, "scan", counted_scan)
+    monkeypatch.setattr(store, "decode_segment", counted_decode)
+    w = MBR(116.38, 39.89, 116.40, 39.91)
+    tr = TimeRange(5_000, 9_000)
+    try:
+        got = st_query(w, tr, 50.0, 120.0, backend, cfg)
+    finally:
+        backend.close()
+    ew, et = expand_mbr(w, 50.0), expand_time_range(tr, 120.0)
+    passing = [v for v in scanned
+               if (s := decode(v)).mbr.intersects(ew) and s.st <= et.end and et.start <= s.et]
+    assert decoded == passing
+    assert len(got) == len(passing) > 0
+    assert len(scanned) > 2 * len(passing)
+
+
+def test_load_trajectory_decodes_only_its_records(monkeypatch):
+    trajectories = [Trajectory(f"t{i}", [loc(300.0 * i, 0, 0), loc(300.0 * i + 5000, 0, 700)])
+                    for i in range(20)]
+    backend, n = make_store(trajectories)
+    decoded = []
+    decode = store.decode_segment
+    monkeypatch.setattr(store, "decode_segment", lambda v: decoded.append(v) or decode(v))
+    assert load_trajectory(backend, "t7") == trajectories[7]
+    assert len(decoded) == 2 and n == 40
 
 
 # --- grouping -------------------------------------------------------------------------------
