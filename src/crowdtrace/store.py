@@ -3,7 +3,13 @@
 Two interchangeable backends satisfy the same contract: ``put(key, value)``
 plus ``scan(low, high)`` yielding keys in strict byte order within
 [low, high). ``MemoryBackend`` is a sorted in-memory map; ``FileBackend`` is a
-single-file append-only log replayed into an index on open.
+single-file append-only log replayed into an index on open, which appends
+nothing for a put of the bytes a key already holds.
+
+``ingest`` hands trajectories to the columnar kernel of ``model`` in batches
+of about ``BATCH_POINTS`` points; one kernel pass gates noise, cuts
+stay-point segments, splits them at period boundaries and takes their boxes
+(``storage_batch``). Segments are put in input order.
 
 ``st_query`` expands a window by the spatial/temporal reach, scans the key
 ranges planned by the curve index, then refines each scanned record with the
@@ -18,10 +24,23 @@ import math
 import os
 import struct
 from bisect import bisect_left, insort
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol, Sequence
 
-from .model import EARTH_RADIUS_M, MBR, Location, Segment, SegmentationConfig, TimeRange, Trajectory, filter_noise, segment
-from .xz import XzConfig, bin_of, encode_key, st_scan_ranges
+# filter_noise and segment stay bound here: perfbench's tracer wraps them in this module
+from .model import (
+    BATCH_POINTS,
+    EARTH_RADIUS_M,
+    MBR,
+    Location,
+    Segment,
+    SegmentationConfig,
+    TimeRange,
+    Trajectory,
+    filter_noise,
+    segment,
+    segment_batch,
+)
+from .xz import XzConfig, bins_of, encode_key, st_scan_ranges
 
 log = logging.getLogger(__name__)
 
@@ -64,11 +83,13 @@ class FileBackend:
     """Single-file append-only log with an in-memory sorted key index.
 
     Writes append length-prefixed frames; the key index is rebuilt by
-    replaying the log on open, with later writes winning. A torn frame at the
-    tail, left by a writer that stopped mid-frame, is skipped on open and cut
-    off by the first write, so new frames follow the last whole one; a
-    backend that only reads never changes the file. Values are read back with
-    positional reads, so several threads may scan one backend at once.
+    replaying the log on open, with later writes winning. A put of the bytes
+    its key already holds appends nothing, so re-ingesting unchanged data
+    leaves the log as it was. A torn frame at the tail, left by a writer that
+    stopped mid-frame, is skipped on open and cut off by the first write, so
+    new frames follow the last whole one; a backend that only reads never
+    changes the file. Values are read back with positional reads, so several
+    threads may scan one backend at once.
     Single writer; scans must not interleave with writes.
     """
 
@@ -84,7 +105,8 @@ class FileBackend:
             self._wf.flush()
         self._rf = open(path, "rb")
         end = self._replay()
-        self._torn_at = end if self._wf.tell() > end else None
+        self._flushed = self._wf.tell()  # bytes below this offset are on disk
+        self._torn_at = end if self._flushed > end else None
 
     def _replay(self) -> int:
         """Index every whole frame; returns the offset just past the last one."""
@@ -111,11 +133,20 @@ class FileBackend:
         return end
 
     def put(self, key: bytes, value: bytes) -> None:
+        old = self._index.get(key)
+        if old is not None and old[1] == len(value):
+            offset, val_len = old
+            if offset + val_len > self._flushed:  # the old value may still be buffered
+                self._wf.flush()
+                self._flushed = self._wf.tell()
+            if os.pread(self._rf.fileno(), val_len, offset) == value:
+                return  # the key already holds these bytes
         if self._torn_at is not None:
             # frames after the torn one would be lost on the next replay
             log.warning("%s: cutting a torn tail at byte %d", self.path, self._torn_at)
             self._wf.truncate(self._torn_at)
             self._wf.seek(self._torn_at)
+            self._flushed = self._torn_at
             self._torn_at = None
         self._wf.write(_FRAME.pack(len(key), len(value)))
         self._wf.write(key)
@@ -223,20 +254,20 @@ def storage_segments(traj: Trajectory, xz_cfg: XzConfig, seg_cfg: SegmentationCo
     points straddle a period boundary, so each stored segment lives in the
     period of its start time. Ordinals are assigned over the final list.
     """
-    filtered = filter_noise(traj, seg_cfg)
-    runs: list[list[Location]] = []
-    for seg in segment(filtered, seg_cfg, max_span=xz_cfg.period_seconds):
-        current: list[Location] = []
-        current_bin = None
-        for loc in seg.locations:
-            b = bin_of(loc.t, xz_cfg)
-            if current and b != current_bin:
-                runs.append(current)
-                current = []
-            current.append(loc)
-            current_bin = b
-        runs.append(current)
-    return [Segment.build(f"{traj.id}#{k}", traj.id, run) for k, run in enumerate(runs)]
+    return storage_batch([traj], xz_cfg, seg_cfg)[0]
+
+
+def storage_batch(
+    trajectories: Sequence[Trajectory], xz_cfg: XzConfig, seg_cfg: SegmentationConfig
+) -> list[list[Segment]]:
+    """``storage_segments`` of each trajectory, in one pass of the kernel."""
+    return segment_batch(
+        trajectories,
+        seg_cfg,
+        max_span=xz_cfg.period_seconds,
+        noise_gate=True,
+        bins=lambda t: bins_of(t, xz_cfg),
+    )
 
 
 def ingest(
@@ -247,18 +278,36 @@ def ingest(
 ) -> int:
     """Write every trajectory's storage segments; returns segments written.
 
-    Re-ingesting the same data overwrites in place. Trajectories with
-    timestamps before the index epoch are rejected and logged.
+    Trajectories go through the kernel in batches of about ``BATCH_POINTS``
+    points, and segments are put in input order. Re-ingesting identical data
+    leaves the log unchanged; a changed segment overwrites its key. Trajectories
+    with timestamps before the index epoch are rejected and logged.
     """
     written = 0
+    for batch in _batches(trajectories, xz_cfg):
+        for segs in storage_batch(batch, xz_cfg, seg_cfg):
+            for seg in segs:
+                backend.put(encode_key(seg, xz_cfg).packed(), encode_segment(seg))
+                written += 1
+    return written
+
+
+def _batches(trajectories: Iterable[Trajectory], xz_cfg: XzConfig) -> Iterator[list[Trajectory]]:
+    """Trajectories in input order, in groups closed once they hold
+    ``BATCH_POINTS`` points; a trajectory longer than that is a group alone."""
+    batch: list[Trajectory] = []
+    points = 0
     for traj in trajectories:
         if traj.locations[0].t < xz_cfg.epoch:
             log.warning("rejecting trajectory %r: timestamps precede the epoch", traj.id)
             continue
-        for seg in storage_segments(traj, xz_cfg, seg_cfg):
-            backend.put(encode_key(seg, xz_cfg).packed(), encode_segment(seg))
-            written += 1
-    return written
+        batch.append(traj)
+        points += len(traj)
+        if points >= BATCH_POINTS:
+            yield batch
+            batch, points = [], 0
+    if batch:
+        yield batch
 
 
 # --- query --------------------------------------------------------------------

@@ -17,6 +17,8 @@ import math
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .model import MBR, WORLD, Segment, TimeRange
 
 
@@ -183,6 +185,13 @@ def bin_of(t: int, cfg: XzConfig) -> int:
     return units // cfg.period_len
 
 
+def bins_of(t: np.ndarray, cfg: XzConfig) -> np.ndarray:
+    """``bin_of`` over a column of timestamps."""
+    if t.size and t.min() < cfg.epoch:
+        raise ValueError(f"timestamp {t.min()} precedes the index epoch {cfg.epoch}")
+    return (t - cfg.epoch) // cfg.unit.seconds // cfg.period_len
+
+
 def _fnv1a64(data: bytes) -> int:
     h = 0xCBF29CE484222325
     for byte in data:
@@ -197,7 +206,7 @@ def encode_key(seg: Segment, cfg: XzConfig) -> STKey:
     if bin_of(seg.et, cfg) != b:
         raise ValueError(f"segment {seg.sid!r} spans multiple time periods")
     return STKey(
-        shard=_fnv1a64(seg.sid.encode("utf-8")) % cfg.num_shards,
+        shard=0 if cfg.num_shards == 1 else _fnv1a64(seg.sid.encode("utf-8")) % cfg.num_shards,
         bin=b,
         xz2=sequence_code(xz2_element(seg.mbr, cfg), cfg),
         sid=seg.sid,

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 import pytest
@@ -45,6 +46,19 @@ def random_trajectory(rng: random.Random, traj_id: str, n_max: int = 30,
             for t in ts
         ],
     )
+
+
+def log_frames(path) -> list[tuple[bytes, bytes]]:
+    """(key, value) of every frame of a segment log file, in file order."""
+    data = path.read_bytes()
+    assert data.startswith(b"CTLOG1\n")
+    pos, out = 7, []
+    while pos < len(data):
+        key_len, val_len = struct.unpack_from("<II", data, pos)
+        pos += 8
+        out.append((data[pos : pos + key_len], data[pos + key_len : pos + key_len + val_len]))
+        pos += key_len + val_len
+    return out
 
 
 @pytest.fixture

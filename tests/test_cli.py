@@ -3,6 +3,7 @@ import io
 import os
 
 from crowdtrace.cli import main
+from conftest import log_frames
 
 
 def run(argv, capsys):
@@ -225,3 +226,16 @@ def test_join_explain_lists_every_join_counter(tmp_path, capsys):
     assert code == 0
     comment = [l.split("=")[0] for l in out.splitlines() if l.startswith("#")]
     assert comment == ["# scan_sets", "# pairs_scored", "# pairs_removed"]
+
+
+def test_reingest_of_the_same_csv_appends_no_frame(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    store = tmp_path / "store"
+    run(["gen", "--seed", "7", "--n-traj", "40", "--out", str(points)], capsys)
+    assert run(["ingest", "--input", str(points), "--store", str(store)], capsys)[0] == 0
+    log = store / "segments.log"
+    size, frames = log.stat().st_size, len(log_frames(log))
+    code, out, _ = run(["ingest", "--input", str(points), "--store", str(store)], capsys)
+    assert code == 0 and out.startswith(f"ingested {frames} segments")
+    assert log.stat().st_size == size
+    assert len(log_frames(log)) == frames

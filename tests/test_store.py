@@ -128,6 +128,44 @@ def test_file_backend_torn_value_is_cut_by_the_next_write(tmp_path):
         assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"v1", b"k3": b"v3"}
 
 
+def test_file_backend_skips_a_put_of_the_bytes_the_key_holds(tmp_path):
+    path = tmp_path / "segments.log"
+    one_frame = len(b"CTLOG1\n") + 8 + len(b"k1") + len(b"value-1")
+    with FileBackend(str(path)) as backend:
+        backend.put(b"k1", b"value-1")
+        backend.put(b"k1", b"value-1")  # the first copy is still in the write buffer
+    assert path.stat().st_size == one_frame
+    with FileBackend(str(path)) as backend:
+        backend.put(b"k1", b"value-1")
+        backend.put(b"k1", b"value-2")  # same length, other bytes: appended, and it wins
+        assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"value-2"}
+    assert path.stat().st_size == 2 * one_frame - len(b"CTLOG1\n")
+    with FileBackend(str(path)) as backend:
+        assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"value-2"}
+        backend.put(b"k1", b"value-1")  # back to the first bytes: a new frame again
+        backend.put(b"k2", b"longer value")
+        backend.put(b"k2", b"longer value")
+    with FileBackend(str(path)) as backend:
+        assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"value-1", b"k2": b"longer value"}
+
+
+def test_file_backend_skipped_put_leaves_a_torn_tail_for_the_next_write(tmp_path):
+    path = tmp_path / "segments.log"
+    with FileBackend(str(path)) as backend:
+        backend.put(b"k1", b"v1")
+    with open(path, "ab") as fh:
+        fh.write(b"\x07\x00\x00")  # a torn frame header
+    torn = path.read_bytes()
+    with FileBackend(str(path)) as backend:
+        backend.put(b"k1", b"v1")
+    assert path.read_bytes() == torn
+    with FileBackend(str(path)) as backend:
+        backend.put(b"k1", b"v1")
+        backend.put(b"k2", b"v2")
+    with FileBackend(str(path)) as backend:
+        assert dict(backend.scan(b"", b"\xff")) == {b"k1": b"v1", b"k2": b"v2"}
+
+
 def test_file_backend_concurrent_scans(tmp_path):
     rng = random.Random(4)
     items = {bytes([rng.randrange(256) for _ in range(6)]): rng.randbytes(rng.randint(1, 300))
