@@ -27,6 +27,7 @@ from .model import (
     TimeRange,
     Trajectory,
     filter_noise,
+    filter_noise_batch,
     haversine_m,
     load_trajectories_csv,
     mbr_of,
@@ -91,6 +92,7 @@ __all__ = [
     "exhaustive_irq",
     "extract_candidates",
     "filter_noise",
+    "filter_noise_batch",
     "generate",
     "group_by_trajectory",
     "haversine_m",

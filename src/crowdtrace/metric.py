@@ -25,6 +25,7 @@ from .model import (
     Segment,
     Trajectory,
     filter_noise,
+    filter_noise_batch,
     segment,
 )
 
@@ -172,9 +173,8 @@ def exhaustive_irq(
     cfg = seg_cfg or SegmentationConfig()
     q_segments = segment(filter_noise(q, cfg), cfg)
     results = []
-    for cand in candidates:
-        locs = filter_noise(cand, cfg).locations
-        ir = trajectory_ir(q_segments, locs, params)
+    for cand in filter_noise_batch(list(candidates), cfg):
+        ir = trajectory_ir(q_segments, cand.locations, params)
         if ir > params.theta:
             results.append((cand.id, ir))
     results.sort(key=lambda r: (-r[1], r[0]))

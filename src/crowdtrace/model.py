@@ -231,8 +231,14 @@ def filter_noise(traj: Trajectory, cfg: SegmentationConfig) -> Trajectory:
     ``cfg.max_speed`` m/s. Zero time gaps with nonzero displacement count as
     infinite speed. A trajectory that keeps every point is returned as is.
     """
-    kept = _gate([traj.locations], _Columns([traj.locations]), cfg.max_speed)[0][0]
-    return traj if kept is traj.locations else Trajectory(traj.id, kept)
+    return filter_noise_batch([traj], cfg)[0]
+
+
+def filter_noise_batch(trajectories: Sequence[Trajectory], cfg: SegmentationConfig) -> list[Trajectory]:
+    """``filter_noise`` of each trajectory, in one pass of the gate."""
+    seqs = [traj.locations for traj in trajectories]
+    kept, _ = _gate(seqs, _Columns(seqs), cfg.max_speed)
+    return [traj if k is traj.locations else Trajectory(traj.id, k) for traj, k in zip(trajectories, kept)]
 
 
 def segment(traj: Trajectory, cfg: SegmentationConfig, max_span: int | None = None) -> list[Segment]:

@@ -1,20 +1,23 @@
 """Ordered key-value storage of encoded segments, and the refined range query.
 
-Two interchangeable backends satisfy the same contract: ``put(key, value)``
-plus ``scan(low, high)`` yielding keys in strict byte order within
-[low, high). ``MemoryBackend`` is a sorted in-memory map; ``FileBackend`` is a
-single-file append-only log replayed into an index on open, which appends
-nothing for a put of the bytes a key already holds.
+Two interchangeable backends satisfy the same contract: ``put(key, value)``,
+``scan(low, high)`` yielding keys in strict byte order within [low, high), and
+``refine``, the values of key ranges whose segment header meets a window.
+Both are one ``SortedIndex``: sorted keys over slots, with each slot's fixed
+48-byte header (box, st, et) kept as numpy columns. They differ only in where
+values live: ``MemoryBackend`` holds them in a list; ``FileBackend`` keeps an
+offset and a length into a single-file append-only log, replayed on open,
+which appends nothing for a put of the bytes a key already holds.
 
 ``ingest`` hands trajectories to the columnar kernel of ``model`` in batches
 of about ``BATCH_POINTS`` points; one kernel pass gates noise, cuts
 stay-point segments, splits them at period boundaries and takes their boxes
 (``storage_batch``). Segments are put in input order.
 
-``st_query`` expands a window by the spatial/temporal reach, scans the key
-ranges planned by the curve index, then refines each scanned record with the
-exact box and time tests on its fixed header (``peek_header``), so its result
-equals a full linear scan. Only records that pass are decoded.
+``st_query`` expands a window by the spatial/temporal reach, plans key ranges
+with the curve index, then refines every record in them with the exact box
+and time tests, in one vectorised mask over the header columns, so its result
+equals a full linear scan. Only records that pass are read and decoded.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ import logging
 import math
 import os
 import struct
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left
 from typing import Iterable, Iterator, Protocol, Sequence
+
+import numpy as np
 
 # filter_noise and segment stay bound here: perfbench's tracer wraps them in this module
 from .model import (
@@ -40,7 +46,7 @@ from .model import (
     segment,
     segment_batch,
 )
-from .xz import XzConfig, bins_of, encode_key, st_scan_ranges
+from .xz import ScanRange, XzConfig, bins_of, encode_key, st_scan_ranges
 
 log = logging.getLogger(__name__)
 
@@ -52,94 +58,193 @@ class StoreBackend(Protocol):
 
     def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]: ...
 
+    def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> Iterator[bytes]: ...
 
-class MemoryBackend:
-    """Sorted in-memory map; the reference backend for tests and oracles."""
+
+# the fixed header an encoded segment starts with: box corners, st, et
+_HEADER = struct.Struct("<4dqq")
+_HEADER_DTYPE = np.dtype([("min_lon", "<f8"), ("min_lat", "<f8"), ("max_lon", "<f8"),
+                          ("max_lat", "<f8"), ("st", "<i8"), ("et", "<i8")])
+# kept for a value too short to hold a header: its NaN box meets no window
+_NO_HEADER = _HEADER.pack(math.nan, math.nan, math.nan, math.nan, 0, 0)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+class SortedIndex:
+    """The sorted key index both backends share.
+
+    A key owns one slot for life; a new key takes the next one. A put to the
+    key replaces the slot's value and the header bytes kept for it, so the
+    headers form numpy columns by slot; a subclass says where a slot's value
+    lives (``_read``). The sorted keys and their slots are rebuilt by the
+    first scan after a new key; headers are read by slot, so no scan sees a
+    stale one. Scans must not interleave with writes.
+    """
 
     def __init__(self) -> None:
-        self._keys: list[bytes] = []
-        self._data: dict[bytes, bytes] = {}
+        self._slot_of: dict[bytes, int] = {}
+        self._headers = bytearray()  # _HEADER.size bytes a slot
+        self._sorted: tuple[list[bytes], np.ndarray] | None = None
 
-    def put(self, key: bytes, value: bytes) -> None:
-        if key not in self._data:
-            insort(self._keys, key)
-        self._data[key] = value
+    def _record(self, key: bytes, head: bytes) -> int:
+        """The key's slot, now holding ``head``: the value's first
+        ``_HEADER.size`` bytes, or all of a shorter value."""
+        if len(head) < _HEADER.size:
+            head = _NO_HEADER
+        slot = self._slot_of.get(key)
+        if slot is None:
+            slot = self._slot_of[key] = len(self._headers) // _HEADER.size
+            self._headers += head
+            self._sorted = None
+        else:
+            self._headers[slot * _HEADER.size : (slot + 1) * _HEADER.size] = head
+        return slot
+
+    def _read(self, slot: int) -> bytes:
+        raise NotImplementedError
+
+    def _order(self) -> tuple[list[bytes], np.ndarray]:
+        """The keys in byte order and their slots."""
+        order = self._sorted
+        if order is None:  # readers racing here each build the same, whole tuple
+            keys = sorted(self._slot_of)
+            slots = np.fromiter(map(self._slot_of.__getitem__, keys), np.intp, len(keys))
+            order = self._sorted = (keys, slots)
+        return order
 
     def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]:
-        lo = bisect_left(self._keys, low)
-        hi = bisect_left(self._keys, high)
-        for key in self._keys[lo:hi]:
-            yield key, self._data[key]
+        """(key, value) of every key in [low, high), in byte order."""
+        keys, slots = self._order()
+        for i in range(bisect_left(keys, low), bisect_left(keys, high)):
+            yield keys[i], self._read(slots[i])
+
+    def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> Iterator[bytes]:
+        """The values in the key ranges, range by range in key order, whose
+        header box intersects ``w`` and whose [st, et] overlaps ``t``; each is
+        read as the iterator reaches it.
+
+        These are the tests of ``MBR.intersects`` and ``TimeRange.intersects``
+        in one mask over the header columns: float64 and int64 compare exactly
+        against the window's floats and ints, and stored times fit int64, so
+        clamping the window's times to it changes no outcome.
+        """
+        keys, slots = self._order()
+        bounds = np.array([bisect_left(keys, b) for r in ranges for b in (r.low, r.high)], np.intp)
+        lo, lens = bounds[0::2], bounds[1::2] - bounds[0::2]
+        ends = np.cumsum(lens)
+        picked = slots[np.arange(ends[-1] if lens.size else 0) + np.repeat(lo - ends + lens, lens)]
+        heads = np.frombuffer(self._headers, _HEADER_DTYPE)  # a view: gone before the next put
+        keep = heads["min_lon"][picked] <= w.max_lon  # a field at a time keeps temporaries small
+        keep &= w.min_lon <= heads["max_lon"][picked]
+        keep &= heads["min_lat"][picked] <= w.max_lat
+        keep &= w.min_lat <= heads["max_lat"][picked]
+        keep &= heads["st"][picked] <= min(t.end, _INT64_MAX)
+        keep &= max(t.start, _INT64_MIN) <= heads["et"][picked]
+        return map(self._read, picked[keep].tolist())
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._slot_of)
+
+
+def _put_slot(column: list | array, slot: int, item) -> None:
+    """Set a slot's item in a per-slot column; a new slot is one past its end."""
+    if slot < len(column):
+        column[slot] = item
+    else:
+        column.append(item)
+
+
+class MemoryBackend(SortedIndex):
+    """Values in a list by slot; the reference backend for tests and oracles."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._values: list[bytes] = []
+
+    def put(self, key: bytes, value: bytes) -> None:
+        _put_slot(self._values, self._record(key, value[: _HEADER.size]), value)
+
+    def _read(self, slot: int) -> bytes:
+        return self._values[slot]
 
 
 _FRAME = struct.Struct("<II")
 _LOG_MAGIC = b"CTLOG1\n"
+REPLAY_CHUNK = 1 << 16  # bytes one positional read takes while a log is replayed
 
 
-class FileBackend:
-    """Single-file append-only log with an in-memory sorted key index.
+class FileBackend(SortedIndex):
+    """Single-file append-only log; a slot's value is an (offset, length) in it.
 
-    Writes append length-prefixed frames; the key index is rebuilt by
-    replaying the log on open, with later writes winning. A put of the bytes
-    its key already holds appends nothing, so re-ingesting unchanged data
-    leaves the log as it was. A torn frame at the tail, left by a writer that
-    stopped mid-frame, is skipped on open and cut off by the first write, so
-    new frames follow the last whole one; a backend that only reads never
-    changes the file. Values are read back with positional reads, so several
-    threads may scan one backend at once.
-    Single writer; scans must not interleave with writes.
+    Writes append length-prefixed frames. Opening the log replays it into the
+    index, later writes winning, by positional reads of ``REPLAY_CHUNK``
+    bytes, taking each value's header but not holding the log. A put of the
+    bytes its key already holds appends nothing, so re-ingesting unchanged
+    data leaves the log as it was. A torn frame at the tail, left by a writer
+    that stopped mid-frame, is skipped on open and cut off by the first
+    write, so new frames follow the last whole one; a backend that only reads
+    never changes the file. Values are read back with positional reads, so
+    several threads may scan or refine on one backend at once. Closing it
+    lets the index go. Single writer; scans must not interleave with writes.
     """
 
     def __init__(self, path: str):
+        super().__init__()
         self.path = path
-        self._index: dict[bytes, tuple[int, int]] = {}
-        self._keys: list[bytes] = []
-        self._sorted = True
+        self._offsets = array("Q")  # by slot
+        self._lengths = array("I")
         exists = os.path.exists(path)
         self._wf = open(path, "ab")
         if not exists or os.path.getsize(path) == 0:
             self._wf.write(_LOG_MAGIC)
             self._wf.flush()
-        self._rf = open(path, "rb")
-        end = self._replay()
+        self._rf = open(path, "rb", buffering=0)  # for positional reads only
+        self._fd = self._rf.fileno()
+        try:
+            end = self._replay()
+        except ValueError:  # not a segment log
+            self.close()
+            raise
         self._flushed = self._wf.tell()  # bytes below this offset are on disk
         self._torn_at = end if self._flushed > end else None
 
     def _replay(self) -> int:
-        """Index every whole frame; returns the offset just past the last one."""
-        size = os.path.getsize(self.path)
-        self._rf.seek(0)
-        magic = self._rf.read(len(_LOG_MAGIC))
-        if magic != _LOG_MAGIC:
+        """Index every whole frame; returns the offset just past the last one.
+
+        Each frame takes the next slot and a key the slot of its last frame,
+        so an overwritten frame leaves an unused slot behind."""
+        fd = self._fd
+        size = os.fstat(fd).st_size
+        if os.pread(fd, len(_LOG_MAGIC), 0) != _LOG_MAGIC:
             raise ValueError(f"{self.path} is not a segment log")
-        end = len(magic)
-        while True:
-            header = self._rf.read(_FRAME.size)
-            if len(header) < _FRAME.size:
-                break
-            key_len, val_len = _FRAME.unpack(header)
-            key = self._rf.read(key_len)
-            offset = self._rf.tell()
-            if len(key) < key_len or offset + val_len > size:
+        slot_of, headers, offsets, lengths = self._slot_of, self._headers, self._offsets, self._lengths
+        end = len(_LOG_MAGIC)
+        buf, base = b"", end  # buf holds the log from offset base on
+        while end + _FRAME.size <= size:
+            if end + _FRAME.size > base + len(buf):
+                buf, base = os.pread(fd, REPLAY_CHUNK, end), end
+            key_len, val_len = _FRAME.unpack_from(buf, end - base)
+            offset = end + _FRAME.size + key_len
+            if offset + val_len > size:
                 break  # torn tail write; ignore the partial frame
-            self._rf.seek(val_len, os.SEEK_CUR)
-            self._index[key] = (offset, val_len)
+            head_end = offset + min(val_len, _HEADER.size)
+            if head_end > base + len(buf):
+                buf, base = os.pread(fd, max(REPLAY_CHUNK, head_end - end), end), end
+            slot_of[buf[offset - key_len - base : offset - base]] = len(offsets)
+            headers += buf[offset - base : head_end - base] if val_len >= _HEADER.size else _NO_HEADER
+            offsets.append(offset)
+            lengths.append(val_len)
             end = offset + val_len
-        self._keys = sorted(self._index)
-        self._sorted = True
         return end
 
     def put(self, key: bytes, value: bytes) -> None:
-        old = self._index.get(key)
-        if old is not None and old[1] == len(value):
-            offset, val_len = old
-            if offset + val_len > self._flushed:  # the old value may still be buffered
+        slot = self._slot_of.get(key)
+        if slot is not None and self._lengths[slot] == len(value):
+            offset = self._offsets[slot]
+            if offset + len(value) > self._flushed:  # the old value may still be buffered
                 self._wf.flush()
                 self._flushed = self._wf.tell()
-            if os.pread(self._rf.fileno(), val_len, offset) == value:
+            if os.pread(self._fd, len(value), offset) == value:
                 return  # the key already holds these bytes
         if self._torn_at is not None:
             # frames after the torn one would be lost on the next replay
@@ -152,30 +257,24 @@ class FileBackend:
         self._wf.write(key)
         offset = self._wf.tell()
         self._wf.write(value)
-        if key not in self._index:
-            self._sorted = False
-            self._keys.append(key)
-        self._index[key] = (offset, len(value))
+        slot = self._record(key, value[: _HEADER.size])
+        _put_slot(self._offsets, slot, offset)
+        _put_slot(self._lengths, slot, len(value))
 
-    def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]:
-        self._wf.flush()
-        if not self._sorted:
-            self._keys.sort()
-            self._sorted = True
-        lo = bisect_left(self._keys, low)
-        hi = bisect_left(self._keys, high)
-        fd = self._rf.fileno()
-        for key in self._keys[lo:hi]:
-            offset, val_len = self._index[key]
-            yield key, os.pread(fd, val_len, offset)
+    def _order(self) -> tuple[list[bytes], np.ndarray]:
+        self._wf.flush()  # values are read back from the file
+        return super()._order()
+
+    def _read(self, slot: int) -> bytes:
+        return os.pread(self._fd, self._lengths[slot], self._offsets[slot])
 
     def close(self) -> None:
         self._wf.flush()
         self._wf.close()
         self._rf.close()
-
-    def __len__(self) -> int:
-        return len(self._index)
+        # free the index now, not when the object goes, so the next open can reuse its memory
+        self._slot_of, self._headers, self._sorted = {}, bytearray(), None
+        self._offsets, self._lengths = array("Q"), array("I")
 
     def __enter__(self) -> "FileBackend":
         return self
@@ -186,7 +285,6 @@ class FileBackend:
 
 # --- segment record codec -----------------------------------------------------
 
-_HEADER = struct.Struct("<4dqq")
 _LEN = struct.Struct("<H")
 _COUNT = struct.Struct("<I")
 _POINT = struct.Struct("<ddq")
@@ -352,27 +450,17 @@ def st_query(
     cfg: XzConfig,
 ) -> list[Segment]:
     """All stored segments intersecting the window and time range, each
-    expanded by the spatial/temporal reach. Exact: every record in the planned
-    scan ranges is refined by the true box and time-overlap tests on its
-    header, and only the survivors are decoded. Sorted by sid.
+    expanded by the spatial/temporal reach. Exact: the records of the planned
+    scan ranges are refined by the true box and time-overlap tests over the
+    backend's header columns (``refine``), and only the survivors are read
+    and decoded, in key order; the first copy of a sid wins. Sorted by sid.
     """
     w = expand_mbr(window, theta_d)
     t = expand_time_range(tr, theta_t)
     found: dict[str, Segment] = {}
-    for rng in st_scan_ranges(w, t, cfg):
-        for _, value in backend.scan(rng.low, rng.high):
-            min_lon, min_lat, max_lon, max_lat, st, et, _ = peek_header(value)
-            # MBR.intersects(w) and the time overlap, on the raw header fields
-            if (
-                min_lon <= w.max_lon
-                and w.min_lon <= max_lon
-                and min_lat <= w.max_lat
-                and w.min_lat <= max_lat
-                and st <= t.end
-                and t.start <= et
-            ):
-                seg = decode_segment(value)
-                found.setdefault(seg.sid, seg)
+    for value in backend.refine(st_scan_ranges(w, t, cfg), w, t):
+        seg = decode_segment(value)
+        found.setdefault(seg.sid, seg)
     return [found[sid] for sid in sorted(found)]
 
 

@@ -21,6 +21,7 @@ from crowdtrace import (
     XzConfig,
     encode_segment,
     filter_noise,
+    filter_noise_batch,
     haversine_m,
     ingest,
     load_trajectories_csv,
@@ -86,6 +87,18 @@ populations = st.lists(trajectories(max_points=25), min_size=1, max_size=12).map
 @settings(max_examples=200, deadline=None)
 def test_filter_noise_matches_reference(traj, cfg):
     assert filter_noise(traj, cfg).locations == reference.filter_noise(traj, cfg).locations
+
+
+@given(populations, seg_configs)
+@settings(max_examples=200, deadline=None)
+def test_filter_noise_batch_matches_reference(population, cfg):
+    got = filter_noise_batch(population, cfg)
+    assert [t.id for t in got] == [t.id for t in population]
+    for traj, kept in zip(population, got):
+        want = reference.filter_noise(traj, cfg).locations
+        assert kept.locations == want
+        assert (kept is traj) == (len(want) == len(traj))  # one that keeps all is returned as is
+    assert filter_noise_batch([], cfg) == []
 
 
 @given(trajectories(), seg_configs, st.sampled_from([None, 0, 60, 599, 3600]))

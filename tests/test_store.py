@@ -1,6 +1,10 @@
+import math
 import random
+import sys
+import tempfile
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +30,7 @@ from crowdtrace import (
 )
 import crowdtrace.store as store
 from crowdtrace.store import expand_mbr, expand_time_range, peek_header
-from crowdtrace.xz import bin_of, encode_key
+from crowdtrace.xz import bin_of, encode_key, st_scan_ranges
 from conftest import loc
 
 CFG = XzConfig(resolution=10)
@@ -170,11 +174,28 @@ def test_file_backend_concurrent_scans(tmp_path):
     rng = random.Random(4)
     items = {bytes([rng.randrange(256) for _ in range(6)]): rng.randbytes(rng.randint(1, 300))
              for _ in range(400)}
+    # segment records under row keys, which no raw key above falls among
+    cfg = XzConfig(resolution=12, period_len=3600)
+    segments = MemoryBackend()
+    for i in range(300):
+        t0 = 3600 * rng.randrange(0, 4) + rng.randrange(0, 3000)
+        east, north = rng.uniform(-3_000, 3_000), rng.uniform(-3_000, 3_000)
+        seg = Segment.build(f"t{i}#0", f"t{i}", [loc(east, north, t0), loc(east + 40, north, t0 + 90)])
+        segments.put(encode_key(seg, cfg).packed(), encode_segment(seg))
+    items.update(segments.scan(b"", b"\xff"))
     path = str(tmp_path / "segments.log")
     with FileBackend(path) as backend:
         for key, value in items.items():
             backend.put(key, value)
     want = sorted(items.items())
+    windows = []
+    for _ in range(20):
+        sw = loc(rng.uniform(-3_500, 2_500), rng.uniform(-3_500, 2_500), 0)
+        t0 = rng.randrange(0, 14_000)
+        windows.append((MBR(sw.lon, sw.lat, sw.lon + 0.01, sw.lat + 0.008), TimeRange(t0, t0 + 2_000)))
+    want_hits = [_decode_everything(segments, expand_mbr(w, 50.0), expand_time_range(tr, 120.0))
+                 for w, tr in windows]
+    assert sum(map(len, want_hits)) > 0
     errors = []
 
     def reader(seed):
@@ -187,12 +208,29 @@ def test_file_backend_concurrent_scans(tmp_path):
         except BaseException as exc:  # surfaced below, from the main thread
             errors.append(exc)
 
-    with FileBackend(path) as backend:
-        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    def querier(seed):
+        order = list(range(len(windows)))
+        random.Random(seed).shuffle(order)
+        try:
+            for i in order:
+                w, tr = windows[i]
+                assert st_query(w, tr, 50.0, 120.0, backend, cfg) == want_hits[i]
+        except BaseException as exc:
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the lazy sort too
+    try:
+        with FileBackend(path) as backend:  # the threads race to build its sorted keys
+            threads = [threading.Thread(target=fn, args=(i,))
+                       for i in range(4) for fn in (reader, querier)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
 
 
@@ -219,6 +257,163 @@ def test_backend_equivalence_random_workload(tmp_path):
             low, high = high, low
         assert list(mem.scan(low, high)) == list(disk.scan(low, high))
     disk.close()
+
+
+def _segment_value(i: int, east: float = 0.0, t0: int = 100) -> bytes:
+    seg = Segment.build(f"s{i}#0", f"s{i}", [loc(east, 0, t0), loc(east + 30, 10, t0 + 60)])
+    return encode_segment(seg)
+
+
+def assert_header_columns(backend, want: dict[bytes, bytes]):
+    """The backend holds ``want``, and its header columns are the header of
+    every stored value, in key order, to the bit (so a -0.0 corner stays -0.0)."""
+    keys, slots = backend._order()
+    heads = np.frombuffer(backend._headers, store._HEADER_DTYPE)[slots]
+    stored = list(backend.scan(b"", b"\xff" * 64))
+    assert stored == sorted(want.items())
+    assert keys == [k for k, _ in stored]
+    assert [tuple(h) for h in heads.tolist()] == [peek_header(v)[:6] for _, v in stored]
+    assert heads.tobytes() == b"".join(v[: store._HEADER.size] for _, v in stored)
+
+
+def _open(kind, tmp_path):
+    return MemoryBackend() if kind == "memory" else FileBackend(str(tmp_path / "segments.log"))
+
+
+EVERYWHERE = (MBR(-180.0, -90.0, 180.0, 90.0), TimeRange(-(2**70), 2**70))
+
+
+def _refine_all(backend, w=EVERYWHERE[0], t=EVERYWHERE[1]):
+    return list(backend.refine([store.ScanRange(b"", b"\xff" * 64)], w, t))
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_header_columns_follow_every_put(tmp_path, kind):
+    backend = _open(kind, tmp_path)
+    want = {f"k{i:02d}".encode(): _segment_value(i, east=100.0 * i) for i in range(20)}
+    zero = Segment.build("z#0", "z", [Location(-0.0, 0.0, 5), Location(0.0, -0.0, 9)])
+    want[b"k99"] = encode_segment(zero)  # -0.0 and 0.0 box corners
+    for key, value in want.items():
+        backend.put(key, value)
+    assert_header_columns(backend, want)
+    old_box = decode_segment(want[b"k03"]).mbr
+    moved = want[b"k03"] = _segment_value(3, east=-5_000.0)
+    backend.put(b"k03", moved)  # an overwrite with a changed box
+    assert_header_columns(backend, want)
+    tr = TimeRange(0, 1_000)
+    assert moved in _refine_all(backend, decode_segment(moved).mbr, tr)
+    assert [v for v in _refine_all(backend, old_box, tr) if peek_header(v)[6] == "s3"] == []
+    backend.put(b"k03", moved)  # the bytes the key holds: skipped by the file log
+    assert_header_columns(backend, want)
+    want[b"k50"] = _segment_value(50, east=-3_000.0)
+    backend.put(b"k50", want[b"k50"])  # a new key after a scan
+    assert_header_columns(backend, want)
+    assert want[b"k50"] in _refine_all(backend, decode_segment(want[b"k50"]).mbr, tr)
+    if kind == "file":
+        backend.close()
+        assert len(backend) == 0  # a closed backend lets its index go
+        with FileBackend(str(tmp_path / "segments.log")) as reopened:
+            assert_header_columns(reopened, want)
+            assert _refine_all(reopened) == [v for _, v in sorted(want.items())]
+
+
+def test_header_columns_after_a_torn_tail_is_cut(tmp_path):
+    path = tmp_path / "segments.log"
+    want = {b"k1": _segment_value(1), b"k2": _segment_value(2, east=500.0)}
+    with FileBackend(str(path)) as backend:
+        for key, value in want.items():
+            backend.put(key, value)
+    with open(path, "ab") as fh:
+        fh.write(b"\x07\x00\x00")  # a torn frame header
+    with FileBackend(str(path)) as backend:
+        assert_header_columns(backend, want)
+        want[b"k2"] = _segment_value(2, east=900.0)
+        want[b"k3"] = _segment_value(3, east=-700.0)
+        backend.put(b"k2", want[b"k2"])  # cuts the tail
+        backend.put(b"k3", want[b"k3"])
+        assert_header_columns(backend, want)
+    with FileBackend(str(path)) as backend:
+        assert_header_columns(backend, want)
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_value_shorter_than_a_header_passes_no_window(tmp_path, kind):
+    backend = _open(kind, tmp_path)
+    whole = _segment_value(1)
+    backend.put(b"a", b"")
+    backend.put(b"b", whole[: store._HEADER.size - 1])
+    backend.put(b"c", whole)
+    backend.put(b"d", b"short")
+    backend.put(b"e", b"")
+    backend.put(b"e", whole)  # a short value overwritten by a whole one
+    assert _refine_all(backend) == [whole, whole]
+    assert dict(backend.scan(b"", b"\xff"))[b"b"] == whole[: store._HEADER.size - 1]
+    assert len(backend) == 5
+    if kind == "file":
+        backend.close()
+        with FileBackend(str(tmp_path / "segments.log")) as reopened:
+            assert _refine_all(reopened) == [whole, whole]
+            assert len(reopened) == 5
+
+
+def test_refine_bounds_are_inclusive():
+    backend = MemoryBackend()
+    seg = Segment.build("a#0", "a", [Location(0.001, 0.002, 100), Location(0.002, 0.003, 160)])
+    backend.put(b"k", encode_segment(seg))
+    touching = [
+        (MBR(0.002, 0.003, 0.004, 0.004), TimeRange(160, 200)),  # corner to corner, et == start
+        (MBR(-0.001, -0.001, 0.001, 0.002), TimeRange(0, 100)),  # st == end
+        (MBR(0.0015, 0.0, 0.0015, 0.0025), TimeRange(130, 130)),  # a degenerate window inside
+    ]
+    for w, t in touching:
+        assert _refine_all(backend, w, t) == [encode_segment(seg)]
+    apart = [
+        (MBR(math.nextafter(0.002, 1.0), 0.003, 0.004, 0.004), TimeRange(0, 200)),
+        (MBR(-0.001, -0.001, 0.001, 0.002), TimeRange(0, 99)),
+        (MBR(-0.001, -0.001, 0.001, 0.002), TimeRange(161, 2**70)),
+    ]
+    for w, t in apart:
+        assert _refine_all(backend, w, t) == []
+
+
+_GRID = st.sampled_from([-0.002, -0.001, -0.0, 0.0, 0.001, 0.002])
+_OFFSETS = st.sampled_from([0, 1, 60, 120, 1799, 3599])
+
+
+@st.composite
+def _stored_segments(draw):
+    segs = []
+    for _ in range(draw(st.integers(1, 12))):
+        period = draw(st.integers(0, 2))
+        times = sorted(draw(st.lists(_OFFSETS, min_size=1, max_size=4)))
+        locs = [Location(draw(_GRID), draw(_GRID), 3600 * period + t) for t in times]
+        sid = draw(st.sampled_from(["a#0", "a#1", "b#0", "c#0"]))  # a sid may recur: stale copies
+        segs.append(Segment.build(sid, sid[0], locs))
+    return segs
+
+
+@st.composite
+def _windows(draw):
+    lons = sorted([draw(_GRID), draw(_GRID)])
+    lats = sorted([draw(_GRID), draw(_GRID)])
+    times = sorted(3600 * draw(st.integers(0, 2)) + draw(_OFFSETS) for _ in range(2))
+    return MBR(lons[0], lats[0], lons[1], lats[1]), TimeRange(*times)
+
+
+@given(_stored_segments(), st.lists(_windows(), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_st_query_backends_agree_with_a_decode_everything_scan(segs, windows):
+    cfg = XzConfig(resolution=8, period_len=3600)
+    mem = MemoryBackend()
+    with tempfile.TemporaryDirectory() as tmp, FileBackend(f"{tmp}/segments.log") as disk:
+        for seg in segs:
+            key, value = encode_key(seg, cfg).packed(), encode_segment(seg)
+            mem.put(key, value)
+            disk.put(key, value)
+        for w, tr in windows:
+            want = _decode_everything(mem, w, tr)  # no reach: window edges meet box edges
+            assert st_query(w, tr, 0.0, 0.0, mem, cfg) == want
+            assert st_query(w, tr, 0.0, 0.0, disk, cfg) == want
 
 
 # --- ingest ----------------------------------------------------------------------------
@@ -411,33 +606,28 @@ def test_st_query_on_file_backend_equals_decode_everything_scan(tmp_path):
 def test_st_query_decodes_only_header_survivors(tmp_path, monkeypatch):
     cfg = XzConfig(resolution=12, period_len=3600)
     backend = _mixed_file_store(tmp_path, cfg)
-    scanned: list[bytes] = []
     decoded: list[bytes] = []
-    scan, decode = backend.scan, store.decode_segment
-
-    def counted_scan(low, high):
-        for key, value in scan(low, high):
-            scanned.append(value)
-            yield key, value
+    decode = store.decode_segment
 
     def counted_decode(value):
         decoded.append(value)
         return decode(value)
 
-    monkeypatch.setattr(backend, "scan", counted_scan)
     monkeypatch.setattr(store, "decode_segment", counted_decode)
     w = MBR(116.38, 39.89, 116.40, 39.91)
     tr = TimeRange(5_000, 9_000)
+    ew, et = expand_mbr(w, 50.0), expand_time_range(tr, 120.0)
     try:
         got = st_query(w, tr, 50.0, 120.0, backend, cfg)
+        # every record of the planned ranges, in the order st_query meets them
+        planned = [v for rng in st_scan_ranges(ew, et, cfg) for _, v in backend.scan(rng.low, rng.high)]
     finally:
         backend.close()
-    ew, et = expand_mbr(w, 50.0), expand_time_range(tr, 120.0)
-    passing = [v for v in scanned
+    passing = [v for v in planned
                if (s := decode(v)).mbr.intersects(ew) and s.st <= et.end and et.start <= s.et]
     assert decoded == passing
     assert len(got) == len(passing) > 0
-    assert len(scanned) > 2 * len(passing)
+    assert len(planned) > 2 * len(passing)
 
 
 def test_load_trajectory_decodes_only_its_records(monkeypatch):
