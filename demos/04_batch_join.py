@@ -1,10 +1,10 @@
 """Query many patients at once without hammering the store.
 
 Running the single query per patient issues one store lookup per query
-segment. The batch join instead indexes all query segments in a quadtree
-whose leaves hold small time trees, merges overlapping time ranges, and
-issues ONE lookup per time-tree leaf, so nearby patients share I/O. The
-results are identical to the per-patient queries.
+segment. The batch join instead sorts all query segments by the quadtree
+cell of their min corner, merges overlapping time ranges within each cell
+into leaves, and issues ONE lookup per leaf, so nearby patients share I/O.
+The results are identical to the per-patient queries.
 """
 
 from crowdtrace import (
@@ -33,9 +33,8 @@ params = QueryParams(theta=0.3)
 all_segments = []
 for q in query_set:
     all_segments.extend(segment(q, seg_cfg))
-root = sft_build(all_segments, resolution=15, max_leaf_span=xz_cfg.period_seconds)
-leaves = sum(len(list(ql.time_tree.leaves())) for ql in root.quad_leaves())
-print(f"{len(query_set)} queries -> {len(all_segments)} segments -> {leaves} index leaves")
+leaves = sft_build(all_segments, resolution=15, max_leaf_span=xz_cfg.period_seconds)
+print(f"{len(query_set)} queries -> {len(all_segments)} segments -> {len(leaves)} index leaves")
 
 counters: dict[str, int] = {}
 joined = irjq(query_set, params, backend, xz_cfg, seg_cfg, counters=counters)

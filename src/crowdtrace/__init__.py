@@ -7,7 +7,7 @@ time (``irq``) or for a whole query set in one batched pass (``irjq``).
 """
 
 from .gen import GenConfig, generate, write_labels
-from .join import PairKey, SftQuadNode, TTreeNode, irjq, irjq_unpruned, sft_build
+from .join import PairKey, irjq, irjq_unpruned, sft_build
 from .metric import (
     QueryParams,
     exhaustive_irq,
@@ -77,8 +77,6 @@ __all__ = [
     "ScanRange",
     "Segment",
     "SegmentationConfig",
-    "SftQuadNode",
-    "TTreeNode",
     "TimeRange",
     "TimeUnit",
     "Trajectory",

@@ -176,9 +176,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             if q is None:
                 raise CliError(f"trajectory {args.traj_id!r} not found in the store")
         counters: dict[str, int] = {}
-        results = irq(
-            q, params, backend, xz_cfg, seg_cfg, counters=counters, threads=args.threads
-        )
+        results = irq(q, params, backend, xz_cfg, seg_cfg, counters=counters)
     finally:
         backend.close()
 
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--query-csv", help="points CSV holding the query trajectory")
     src.add_argument("--traj-id", help="id of a stored trajectory to query")
     _add_param_flags(p_query)
-    p_query.add_argument("--threads", type=int, default=1)
     p_query.add_argument("--explain", action="store_true", help="append '#' counter lines")
     p_query.add_argument("--out", help="write CSV here instead of stdout")
     p_query.set_defaults(func=cmd_query)

@@ -16,7 +16,6 @@ Scores are identical with pruning on or off; only the work differs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .metric import PointArray, QueryParams, segment_ir, span_weight
@@ -137,15 +136,13 @@ def irq(
     *,
     lemmas: frozenset[int] | tuple[int, ...] = ALL_LEMMAS,
     counters: dict[str, int] | None = None,
-    threads: int = 1,
     debug: bool = False,
 ) -> list[tuple[str, float]]:
     """All stored trajectories scoring strictly above the threshold against ``q``.
 
     Returns (traj_id, score) sorted by descending score then ascending id.
     ``lemmas`` selects which pruning rules run; ``counters``, when given, is
-    filled with per-rule prune counts. ``threads`` caps parallel candidate
-    evaluation; results do not depend on it.
+    filled with per-rule prune counts.
     """
     lemmas = frozenset(lemmas)
     seg_cfg = seg_cfg or SegmentationConfig()
@@ -155,14 +152,10 @@ def irq(
 
     candidates = extract_candidates(q_segments, params, backend, cfg, exclude_id=q.id)
 
-    def run(cand: CandidateInfo) -> CandidateState:
-        return _evaluate(cand, q_segments, weights, params, lemmas, debug=debug)
-
-    if threads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            states = list(pool.map(run, candidates.values()))
-    else:
-        states = [run(cand) for cand in candidates.values()]
+    states = [
+        _evaluate(cand, q_segments, weights, params, lemmas, debug=debug)
+        for cand in candidates.values()
+    ]
 
     tally = dict.fromkeys(COUNTER_KEYS, 0)
     tally["candidates"] = len(states)
@@ -190,9 +183,6 @@ def irq_unpruned(
     seg_cfg: SegmentationConfig | None = None,
     *,
     counters: dict[str, int] | None = None,
-    threads: int = 1,
 ) -> list[tuple[str, float]]:
     """``irq`` with every pruning rule disabled; same results, more work."""
-    return irq(
-        q, params, backend, cfg, seg_cfg, lemmas=frozenset(), counters=counters, threads=threads
-    )
+    return irq(q, params, backend, cfg, seg_cfg, lemmas=frozenset(), counters=counters)

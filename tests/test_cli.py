@@ -1,7 +1,13 @@
 import csv
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import crowdtrace
 from crowdtrace.cli import main
 from conftest import log_frames
 
@@ -226,6 +232,47 @@ def test_join_explain_lists_every_join_counter(tmp_path, capsys):
     assert code == 0
     comment = [l.split("=")[0] for l in out.splitlines() if l.startswith("#")]
     assert comment == ["# scan_sets", "# pairs_scored", "# pairs_removed"]
+
+
+def test_join_leaf_capacity_one_runs(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    store = tmp_path / "store"
+    run(["ingest", "--input", str(points), "--store", str(store)], capsys)
+    join = ["join", "--store", str(store), "--query-csv", str(points), "--explain"]
+    _, default, _ = run(join, capsys)
+    # in a child process, so that a join that never ends fails the test
+    src = str(Path(crowdtrace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crowdtrace.cli", *join, "--leaf-capacity", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if not line.startswith("#")]
+    assert rows == [line for line in default.splitlines() if not line.startswith("#")]
+    # the two overlapping query segments share one scan set at the default
+    # capacity and get one each at capacity 1
+    assert "# scan_sets=1" in default.splitlines()
+    assert "# scan_sets=2" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("capacity", ["0", "-1"])
+def test_join_leaf_capacity_below_one_is_an_error(tmp_path, capsys, capacity):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    store = tmp_path / "store"
+    run(["ingest", "--input", str(points), "--store", str(store)], capsys)
+    code, out, err = run(
+        ["join", "--store", str(store), "--query-csv", str(points), "--leaf-capacity", capacity],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "capacity" in err
 
 
 def test_reingest_of_the_same_csv_appends_no_frame(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from crowdtrace import (
+    Location,
     MemoryBackend,
     QueryParams,
     SegmentationConfig,
     Segment,
+    TimeRange,
     Trajectory,
     XzConfig,
     ingest,
@@ -16,7 +21,7 @@ from crowdtrace import (
     segment,
     sft_build,
 )
-from crowdtrace.join import build_ttree
+from crowdtrace.join import time_leaves
 from conftest import build_workload, loc
 
 P = QueryParams()
@@ -32,44 +37,38 @@ def _seg(sid, east, t0, t1):
 
 
 def test_single_segment_tree():
-    root = sft_build([_seg("a#0", 0, 0, 60)], resolution=10)
-    quad_leaves = list(root.quad_leaves())
-    assert len(quad_leaves) == 1
-    assert quad_leaves[0].depth == 10
-    tt_leaves = list(quad_leaves[0].time_tree.leaves())
-    assert len(tt_leaves) == 1
-    assert tt_leaves[0].entries[0].sid == "a#0"
+    leaves = sft_build([_seg("a#0", 0, 0, 60)], resolution=10)
+    assert len(leaves) == 1
+    tr, _, entries = leaves[0]
+    assert tr == TimeRange(0, 60)
+    assert [s.sid for s in entries] == ["a#0"]
 
 
 def test_ttree_merges_overlapping_ranges():
     segs = [_seg("a#0", 0, 0, 100), _seg("a#1", 3, 50, 150), _seg("a#2", 6, 120, 200)]
-    tree = build_ttree(segs, capacity=8, max_leaf_span=10_000)
-    leaves = list(tree.leaves())
+    leaves = time_leaves(segs, capacity=8, max_leaf_span=10_000)
     assert len(leaves) == 1
-    assert leaves[0].tr.start == 0 and leaves[0].tr.end == 200
+    assert leaves[0][0] == TimeRange(0, 200)
 
 
 def test_ttree_keeps_disjoint_ranges_apart():
     segs = [_seg("a#0", 0, 0, 100), _seg("a#1", 3, 500, 600)]
-    tree = build_ttree(segs, capacity=8, max_leaf_span=10_000)
-    assert len(list(tree.leaves())) == 2
+    assert len(time_leaves(segs, capacity=8, max_leaf_span=10_000)) == 2
 
 
 def test_ttree_splits_overlapping_but_overlong_ranges():
     # overlapping in time, but the merged span exceeds the limit: two leaves
     segs = [_seg("a#0", 0, 0, 900), _seg("a#1", 3, 800, 1700)]
-    tree = build_ttree(segs, capacity=8, max_leaf_span=1000)
-    leaves = list(tree.leaves())
+    leaves = time_leaves(segs, capacity=8, max_leaf_span=1000)
     assert len(leaves) == 2
-    assert all(leaf.tr.end - leaf.tr.start <= 1000 for leaf in leaves)
+    assert all(tr.end - tr.start <= 1000 for tr, _, _ in leaves)
 
 
 def test_ttree_splits_on_capacity():
     segs = [_seg(f"a#{i}", float(i), 10 * i, 10 * i + 500) for i in range(10)]
-    tree = build_ttree(segs, capacity=4, max_leaf_span=100_000)
-    leaves = list(tree.leaves())
-    assert all(len(leaf.entries) <= 4 for leaf in leaves)
-    assert sum(len(leaf.entries) for leaf in leaves) == 10
+    leaves = time_leaves(segs, capacity=4, max_leaf_span=100_000)
+    assert all(len(entries) <= 4 for _, _, entries in leaves)
+    assert sum(len(entries) for _, _, entries in leaves) == 10
 
 
 def test_every_segment_reachable_exactly_once():
@@ -80,15 +79,54 @@ def test_every_segment_reachable_exactly_once():
         segs.append(
             _seg(f"t{i}#0", rng.uniform(-50_000, 50_000), t0, t0 + rng.randrange(0, 800))
         )
-    root = sft_build(segs, resolution=9, capacity=8, max_leaf_span=3600)
     seen = []
-    for quad_leaf in root.quad_leaves():
-        for tt_leaf in quad_leaf.time_tree.leaves():
-            for entry in tt_leaf.entries:
-                seen.append(entry.sid)
-                assert tt_leaf.mbr.contains(entry.mbr)
-                assert tt_leaf.tr.start <= entry.st and entry.et <= tt_leaf.tr.end
+    for tr, box, entries in sft_build(segs, resolution=9, capacity=8, max_leaf_span=3600):
+        for entry in entries:
+            seen.append(entry.sid)
+            assert box.contains(entry.mbr)
+            assert tr.start <= entry.st and entry.et <= tr.end
     assert sorted(seen) == sorted(s.sid for s in segs)
+
+
+# corners on the quadrant midlines of the first levels, signed zeros included
+LONS = st.one_of(
+    st.sampled_from([-180.0, -90.0, -45.0, -0.0, 0.0, 45.0, 90.0, 180.0]),
+    st.floats(-180.0, 180.0),
+)
+LATS = st.one_of(
+    st.sampled_from([-90.0, -45.0, -22.5, -0.0, 0.0, 22.5, 45.0, 90.0]),
+    st.floats(-90.0, 90.0),
+)
+
+
+@st.composite
+def segment_sets(draw):
+    segs = []
+    for i in range(draw(st.integers(1, 40))):
+        lon, lat = draw(LONS), draw(LATS)
+        far_lon = min(180.0, lon + draw(st.floats(0.0, 0.01)))
+        far_lat = min(90.0, lat + draw(st.floats(0.0, 0.01)))
+        t0 = draw(st.integers(0, 20_000))
+        t1 = t0 + draw(st.integers(0, 86_400))
+        traj_id = f"t{draw(st.integers(0, 5))}"
+        locs = [Location(lon, lat, t0), Location(far_lon, far_lat, t1)]
+        segs.append(Segment.build(f"{traj_id}#{i}", traj_id, locs))
+    return segs
+
+
+@given(
+    segment_sets(),
+    st.one_of(st.sampled_from([0, 1, 15, 40]), st.integers(0, 24)),
+    st.integers(1, 64),
+    st.sampled_from([100, 1800, 3600, 86_400]),
+)
+@settings(max_examples=300, deadline=None)
+def test_sft_build_matches_quadtree_reference(segs, resolution, capacity, max_leaf_span):
+    got = sft_build(segs, resolution, capacity, max_leaf_span)
+    want = reference.sft_leaves(segs, resolution, capacity, max_leaf_span)
+    assert [(tr, box, [s.sid for s in entries]) for tr, box, entries in got] == [
+        (tr, box, [s.sid for s in entries]) for tr, box, entries in want
+    ]
 
 
 # --- join vs single query -------------------------------------------------------------
@@ -167,8 +205,7 @@ def test_scan_sets_equal_leaf_count():
     all_segments = []
     for q in query_set:
         all_segments.extend(segment(q, w.seg_cfg))
-    root = sft_build(all_segments, resolution=15, max_leaf_span=w.xz_cfg.period_seconds)
-    n_leaves = sum(len(list(ql.time_tree.leaves())) for ql in root.quad_leaves())
+    n_leaves = len(sft_build(all_segments, resolution=15, max_leaf_span=w.xz_cfg.period_seconds))
     counters: dict[str, int] = {}
     irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, resolution=15, counters=counters)
     assert counters["scan_sets"] == n_leaves

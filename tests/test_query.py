@@ -150,13 +150,6 @@ def test_irq_debug_bookkeeping_assertions():
     assert with_debug == without
 
 
-def test_irq_threads_do_not_change_results():
-    w = build_workload(seed=67, n_traj=200, contact_fraction=0.1)
-    serial = irq(w.patient, P, w.backend, w.xz_cfg, w.seg_cfg, threads=1)
-    parallel = irq(w.patient, P, w.backend, w.xz_cfg, w.seg_cfg, threads=4)
-    assert serial == parallel
-
-
 def test_irq_query_not_in_store():
     w = build_workload(seed=71, n_traj=100, contact_fraction=0.1)
     outside = Trajectory("visitor", list(w.patient.locations))
