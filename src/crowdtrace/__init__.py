@@ -41,7 +41,6 @@ from .store import (
     MemoryBackend,
     decode_segment,
     encode_segment,
-    group_by_trajectory,
     ingest,
     load_trajectory,
     scan_all,
@@ -92,7 +91,6 @@ __all__ = [
     "filter_noise",
     "filter_noise_batch",
     "generate",
-    "group_by_trajectory",
     "haversine_m",
     "ingest",
     "irjq",

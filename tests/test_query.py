@@ -39,7 +39,7 @@ def assert_results_match(got, want, tol=1e-9):
 def test_extract_candidates_empty_store():
     q = Trajectory("q", [loc(0, 0, 0)])
     q_segments = segment(q, SEG)
-    assert extract_candidates(q_segments, P, MemoryBackend(), CFG) == {}
+    assert extract_candidates(q_segments, P, MemoryBackend(), CFG).traj_ids == []
 
 
 def test_extract_candidates_two_region_layout():
@@ -54,18 +54,18 @@ def test_extract_candidates_two_region_layout():
     q_segments = segment(q, SEG)
     assert [s.sid for s in q_segments] == ["q#0", "q#1"]
     cands = extract_candidates(q_segments, P, backend, CFG, exclude_id="q")
-    assert sorted(cands) == ["t1", "t2", "t3"]
-    assert cands["t1"].intersecting_sids == {"q#0", "q#1"}
-    assert cands["t2"].intersecting_sids == {"q#0"}
-    assert cands["t3"].intersecting_sids == {"q#1"}
-    assert [l.t for l in cands["t1"].locations] == [60, 4060]
+    assert cands.traj_ids == ["t1", "t2", "t3"]
+    # one row per query segment, one column per candidate
+    assert cands.touches.tolist() == [[True, True, False], [True, False, True]]
+    assert cands.points["t"][cands.runs[0] : cands.runs[1]].tolist() == [60, 4060]
+    assert cands.runs.tolist() == [0, 2, 3, 4]
 
 
 def test_extract_candidates_excludes_own_copy():
     q = Trajectory("q", [loc(0, 0, 0), loc(0, 0, 60)])
     backend = store_of([q])
     cands = extract_candidates(segment(q, SEG), P, backend, CFG, exclude_id="q")
-    assert cands == {}
+    assert cands.traj_ids == [] and len(cands.points) == 0
 
 
 def test_candidates_cover_every_scoring_trajectory():
@@ -74,7 +74,7 @@ def test_candidates_cover_every_scoring_trajectory():
     q_segments = segment(q, w.seg_cfg)
     cands = extract_candidates(q_segments, P, w.backend, w.xz_cfg, exclude_id=q.id)
     positive = {tid for tid, _ in exhaustive_irq(q, w.others(q), P, w.seg_cfg)}
-    assert positive <= set(cands)
+    assert positive <= set(cands.traj_ids)
 
 
 # --- single query ------------------------------------------------------------------
@@ -141,13 +141,6 @@ def test_theta_monotonicity():
         for theta in (0.3, 0.5, 0.7)
     }
     assert results[0.7] <= results[0.5] <= results[0.3]
-
-
-def test_irq_debug_bookkeeping_assertions():
-    w = build_workload(seed=61, n_traj=150, contact_fraction=0.1)
-    with_debug = irq(w.patient, P, w.backend, w.xz_cfg, w.seg_cfg, debug=True)
-    without = irq(w.patient, P, w.backend, w.xz_cfg, w.seg_cfg)
-    assert with_debug == without
 
 
 def test_irq_query_not_in_store():

@@ -21,7 +21,6 @@ from crowdtrace import (
     XzConfig,
     decode_segment,
     encode_segment,
-    group_by_trajectory,
     ingest,
     load_trajectory,
     scan_all,
@@ -29,7 +28,7 @@ from crowdtrace import (
     storage_segments,
 )
 import crowdtrace.store as store
-from crowdtrace.store import expand_mbr, expand_time_range, peek_header
+from crowdtrace.store import expand_mbr, expand_time_range, peek_header, st_read
 from crowdtrace.xz import bin_of, encode_key, st_scan_ranges
 from conftest import loc
 
@@ -284,7 +283,7 @@ EVERYWHERE = (MBR(-180.0, -90.0, 180.0, 90.0), TimeRange(-(2**70), 2**70))
 
 
 def _refine_all(backend, w=EVERYWHERE[0], t=EVERYWHERE[1]):
-    return list(backend.refine([store.ScanRange(b"", b"\xff" * 64)], w, t))
+    return list(backend.read(backend.refine([store.ScanRange(b"", b"\xff" * 64)], w, t)))
 
 
 @pytest.mark.parametrize("kind", ["memory", "file"])
@@ -641,15 +640,30 @@ def test_load_trajectory_decodes_only_its_records(monkeypatch):
     assert len(decoded) == 2 and n == 40
 
 
-# --- grouping -------------------------------------------------------------------------------
+# --- grouping: st_read's columns -------------------------------------------------------------
+
+
+def _read_all(backend, cfg=CFG):
+    """``st_read`` of one window over the whole test area and time span."""
+    box = MBR(loc(-10_000, -10_000).lon, loc(-10_000, -10_000).lat, loc(10_000, 10_000).lon, loc(10_000, 10_000).lat)
+    return st_read([(box, TimeRange(0, 20_000))], 50.0, 120.0, backend, cfg)
+
+
+def _put_all(segs, cfg=CFG):
+    backend = MemoryBackend()
+    for seg in segs:
+        backend.put(encode_key(seg, cfg).packed(), encode_segment(seg))
+    return backend
 
 
 def test_group_single_trajectory():
     segs = storage_segments(Trajectory("a", [loc(0, 0, 0), loc(5000, 0, 700)]), CFG, SEG)
     assert len(segs) == 2  # far apart: two stay points
-    grouped = group_by_trajectory(segs)
-    assert list(grouped) == ["a"]
-    assert [l.t for l in grouped["a"]] == [0, 700]
+    grouped = _read_all(_put_all(segs))
+    assert grouped.traj_ids == ["a"]
+    assert grouped.runs.tolist() == [0, 2]
+    assert grouped.points["t"].tolist() == [0, 700]
+    assert [head[4:] for head in grouped.heads[0]] == [(0, 0), (700, 700)]
 
 
 def test_group_three_candidate_trajectories():
@@ -658,8 +672,10 @@ def test_group_three_candidate_trajectories():
         segs.extend(
             storage_segments(Trajectory(tid, [loc(east, 0, 0), loc(east, 0, 60)]), CFG, SEG)
         )
-    grouped = group_by_trajectory(segs)
-    assert sorted(grouped) == ["t1", "t2", "t3"]
+    grouped = _read_all(_put_all(segs))
+    assert grouped.traj_ids == ["t1", "t2", "t3"]
+    assert grouped.runs.tolist() == [0, 2, 4, 6]
+    assert grouped.touches.tolist() == [[True, True, True]]
 
 
 def test_group_is_permutation_invariant():
@@ -670,7 +686,11 @@ def test_group_is_permutation_invariant():
         segs.extend(storage_segments(Trajectory(f"t{i % 3}_{i}", pts), CFG, SEG))
     shuffled = segs[:]
     rng.shuffle(shuffled)
-    assert group_by_trajectory(shuffled) == group_by_trajectory(segs)
+    want, got = _read_all(_put_all(segs)), _read_all(_put_all(shuffled))
+    assert got.traj_ids == want.traj_ids and got.heads == want.heads
+    assert got.runs.tolist() == want.runs.tolist()
+    assert got.points.tobytes() == want.points.tobytes()
+    assert want.traj_ids == sorted(f"t{i % 3}_{i}" for i in range(10))
 
 
 def test_load_trajectory_roundtrip():
