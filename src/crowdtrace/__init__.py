@@ -25,12 +25,14 @@ from .model import (
     Segment,
     SegmentationConfig,
     TimeRange,
+    Tracks,
     Trajectory,
     filter_noise,
     filter_noise_batch,
     haversine_m,
     load_trajectories_csv,
     mbr_of,
+    read_points_csv,
     segment,
     time_range_of,
     write_points_csv,
@@ -78,6 +80,7 @@ __all__ = [
     "SegmentationConfig",
     "TimeRange",
     "TimeUnit",
+    "Tracks",
     "Trajectory",
     "WORLD",
     "XzConfig",
@@ -100,6 +103,7 @@ __all__ = [
     "load_trajectories_csv",
     "load_trajectory",
     "mbr_of",
+    "read_points_csv",
     "scan_all",
     "segment",
     "segment_ir",

@@ -20,7 +20,7 @@ from . import bench as bench_mod
 from .gen import GenConfig, generate, write_labels
 from .join import DEFAULT_LEAF_CAPACITY, JOIN_COUNTER_KEYS, irjq
 from .metric import QueryParams
-from .model import SegmentationConfig, Trajectory, load_trajectories_csv, write_points_csv
+from .model import SegmentationConfig, Tracks, Trajectory, load_trajectories_csv, read_points_csv, write_points_csv
 from .query import COUNTER_KEYS, irq
 from .store import FileBackend, ingest, load_trajectory
 from .xz import TimeUnit, XzConfig
@@ -99,9 +99,11 @@ def _params(args: argparse.Namespace) -> QueryParams:
         raise CliError(str(exc)) from exc
 
 
-def _load_query_csv(path: str) -> list[Trajectory]:
+def _load_query_csv(path: str, columns: bool = False) -> list[Trajectory] | Tracks:
+    """A points CSV's trajectories: ``Trajectory`` objects, or with
+    ``columns`` their columns (``read_points_csv``)."""
     try:
-        trajectories, skipped = load_trajectories_csv(path)
+        trajectories, skipped = read_points_csv(path) if columns else load_trajectories_csv(path)
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc.strerror}") from exc
     if skipped:
@@ -138,7 +140,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    trajectories = _load_query_csv(args.input)
+    tracks = _load_query_csv(args.input, columns=True)
     xz_cfg = XzConfig(
         resolution=args.resolution, period_len=args.period_len, num_shards=args.shards
     )
@@ -157,8 +159,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         os.makedirs(args.store, exist_ok=True)
         _save_meta(args.store, meta)
     with FileBackend(os.path.join(args.store, LOG_NAME)) as backend:
-        written = ingest(trajectories, xz_cfg, seg_cfg, backend)
-    print(f"ingested {written} segments from {len(trajectories)} trajectories into {args.store}")
+        written = ingest(tracks, xz_cfg, seg_cfg, backend)
+    print(f"ingested {written} segments from {len(tracks)} trajectories into {args.store}")
     return 0
 
 

@@ -19,10 +19,11 @@ gated by the scalar loop.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Sequence, TextIO
+from itertools import chain, compress
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -236,9 +237,15 @@ def filter_noise(traj: Trajectory, cfg: SegmentationConfig) -> Trajectory:
 
 def filter_noise_batch(trajectories: Sequence[Trajectory], cfg: SegmentationConfig) -> list[Trajectory]:
     """``filter_noise`` of each trajectory, in one pass of the gate."""
-    seqs = [traj.locations for traj in trajectories]
-    kept, _ = _gate(seqs, _Columns(seqs), cfg.max_speed)
-    return [traj if k is traj.locations else Trajectory(traj.id, k) for traj, k in zip(trajectories, kept)]
+    tracks = Tracks.of(trajectories)
+    keep = _gate(tracks, cfg.max_speed)
+    if keep is None:
+        return list(trajectories)
+    bounds = tracks.offsets.tolist()
+    return [
+        traj if keep[a:b].all() else Trajectory(traj.id, compress(traj.locations, keep[a:b].tolist()))
+        for traj, a, b in zip(trajectories, bounds, bounds[1:])
+    ]
 
 
 def segment(traj: Trajectory, cfg: SegmentationConfig, max_span: int | None = None) -> list[Segment]:
@@ -281,76 +288,88 @@ def _haversine_cols(lon1: np.ndarray, lat1: np.ndarray, lon2: np.ndarray, lat2: 
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-class _Columns:
-    """Points of a batch of non-empty sequences as concatenated columns;
-    sequence k holds rows ``offsets[k]:offsets[k + 1]``."""
+class Tracks:
+    """Points of many trajectories as concatenated columns: trajectory ``k``
+    is ``ids[k]``, with rows ``offsets[k]:offsets[k + 1]`` of the ``lon``,
+    ``lat`` and ``t`` columns, in time order. None is empty."""
 
-    __slots__ = ("lon", "lat", "t", "offsets")
+    __slots__ = ("ids", "lon", "lat", "t", "offsets")
 
-    def __init__(self, seqs: Sequence[Sequence[Location]]):
-        n = sum(map(len, seqs))
-        self.lon = np.fromiter((p.lon for seq in seqs for p in seq), np.float64, n)
-        self.lat = np.fromiter((p.lat for seq in seqs for p in seq), np.float64, n)
-        # inferred, so a float timestamp is not truncated
-        self.t = np.array([p.t for seq in seqs for p in seq])
-        self.offsets = _offsets(seqs)
+    def __init__(self, ids: list[str], lon: np.ndarray, lat: np.ndarray, t: np.ndarray, offsets: np.ndarray):
+        self.ids, self.lon, self.lat, self.t, self.offsets = ids, lon, lat, t, offsets
 
-    def compress(self, keep: np.ndarray, seqs: Sequence[Sequence[Location]]) -> "_Columns":
-        """The rows flagged in ``keep``; ``seqs`` are the sequences they form."""
-        out = _Columns.__new__(_Columns)
-        out.lon, out.lat, out.t = self.lon[keep], self.lat[keep], self.t[keep]
-        out.offsets = _offsets(seqs)
-        return out
+    @classmethod
+    def of(cls, trajectories: Sequence[Trajectory]) -> "Tracks":
+        """The columns of ``Trajectory`` objects."""
+        points = [p for traj in trajectories for p in traj.locations]
+        offsets = np.zeros(len(trajectories) + 1, np.intp)
+        np.cumsum([len(traj) for traj in trajectories], out=offsets[1:])
+        return cls(
+            [traj.id for traj in trajectories],
+            np.fromiter((p.lon for p in points), np.float64, len(points)),
+            np.fromiter((p.lat for p in points), np.float64, len(points)),
+            np.array([p.t for p in points]),  # inferred, so a float timestamp is not truncated
+            offsets,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, ks: slice) -> "Tracks":
+        """The trajectories of a step-1 slice; their columns are views."""
+        lo, hi, _ = ks.indices(len(self.ids))
+        a, b = self.offsets[lo], self.offsets[hi]
+        return Tracks(self.ids[lo:hi], self.lon[a:b], self.lat[a:b], self.t[a:b], self.offsets[lo : hi + 1] - a)
+
+    def compress(self, keep: np.ndarray) -> "Tracks":
+        """The rows flagged in ``keep``; a trajectory left with none is dropped."""
+        ends = np.concatenate(([0], np.cumsum(keep)))[self.offsets]
+        ids = list(compress(self.ids, np.diff(ends).tolist()))
+        return Tracks(ids, self.lon[keep], self.lat[keep], self.t[keep], np.unique(ends))
+
+    def trajectories(self) -> list[Trajectory]:
+        points = list(map(Location, self.lon.tolist(), self.lat.tolist(), self.t.tolist()))
+        bounds = self.offsets.tolist()
+        return [Trajectory(tid, points[a:b]) for tid, a, b in zip(self.ids, bounds, bounds[1:])]
 
 
-def _offsets(seqs: Sequence[Sequence[Location]]) -> np.ndarray:
-    out = np.zeros(len(seqs) + 1, np.intp)
-    np.cumsum([len(seq) for seq in seqs], out=out[1:])
-    return out
-
-
-def _gate(
-    seqs: Sequence[Sequence[Location]], cols: _Columns, max_speed: float
-) -> tuple[list[Sequence[Location]], np.ndarray | None]:
-    """``filter_noise`` over a batch: each sequence's kept points (the
-    sequence itself when it keeps all), and the keep mask over the columns
-    (None when every point is kept).
+def _gate(cols: Tracks, max_speed: float) -> np.ndarray | None:
+    """``filter_noise`` over a batch: the keep mask over its rows, or None
+    when every point is kept.
 
     A step is clearly kept when its time gap is positive and its numpy
-    distance is below ``max_speed * dt`` by the margin. A sequence runs the
-    scalar greedy loop from its first other step on, since after a drop each
-    step is measured from a point the columns do not pair it with.
+    distance is below ``max_speed * dt`` by the margin. A trajectory runs the
+    scalar greedy loop, on its column values, from its first other step on,
+    since after a drop each step is measured from a point the columns do not
+    pair it with.
     """
     t, offsets = cols.t, cols.offsets
     dt = t[1:] - t[:-1]
     d = _haversine_cols(cols.lon[:-1], cols.lat[:-1], cols.lon[1:], cols.lat[1:])
     clear = (dt > 0) & (d <= max_speed * dt * (1.0 - _CLEAR))
-    clear[offsets[1:-1] - 1] = True  # the step from one sequence to the next
+    clear[offsets[1:-1] - 1] = True  # the step from one trajectory to the next
     doubtful = np.flatnonzero(~clear) + 1  # rows reached by a doubtful step
-    kept = list(seqs)
     if not doubtful.size:
-        return kept, None
+        return None
     keep = np.ones(len(t), bool)
     owners, first = np.unique(np.searchsorted(offsets, doubtful, "right") - 1, return_index=True)
     for k, row in zip(owners.tolist(), doubtful[first].tolist()):
-        seq, lo = seqs[k], int(offsets[k])
-        i = row - lo
+        hi = int(offsets[k + 1])
+        lon, lat, ts = (c[row - 1 : hi].tolist() for c in (cols.lon, cols.lat, t))
         flags = []
-        prev = seq[i - 1]
-        for loc in seq[i:]:
-            gap = loc.t - prev.t
-            dist = prev.distance_m(loc)
+        prev = 0
+        for i in range(1, len(ts)):
+            gap = ts[i] - ts[prev]
+            dist = haversine_m(lon[prev], lat[prev], lon[i], lat[i])
             ok = dist / gap <= max_speed if gap > 0 else dist == 0.0
             flags.append(ok)
             if ok:
-                prev = loc
-        if not all(flags):
-            keep[row : lo + len(seq)] = flags
-            kept[k] = tuple(seq[:i]) + tuple(loc for loc, ok in zip(seq[i:], flags) if ok)
-    return kept, None if keep.all() else keep
+                prev = i
+        keep[row:hi] = flags
+    return None if keep.all() else keep
 
 
-def _run_starts(cols: _Columns, d_seg: float, window: float) -> list[int]:
+def _run_starts(cols: Tracks, d_seg: float, window: float) -> list[int]:
     """Rows that open a segment under the greedy stay-point rule.
 
     ``lastfar[i]`` is the latest earlier row of i's sequence farther than
@@ -400,6 +419,53 @@ def _run_starts(cols: _Columns, d_seg: float, window: float) -> list[int]:
     return starts
 
 
+class Cuts(NamedTuple):
+    """A batch's segments: segment j is rows ``starts[j]:ends[j]`` of
+    ``tracks``, the points the noise gate kept, which are the rows ``keep``
+    flags of the input (None: all of them). It belongs to trajectory
+    ``owners[j]`` and ``boxes`` holds its corners (min lon, min lat, max lon,
+    max lat)."""
+
+    tracks: Tracks
+    keep: np.ndarray | None
+    starts: np.ndarray
+    ends: np.ndarray
+    owners: np.ndarray
+    boxes: list[np.ndarray]
+
+
+def cut(
+    tracks: Tracks,
+    cfg: SegmentationConfig,
+    max_span: int | None = None,
+    *,
+    noise_gate: bool = False,
+    bins: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> Cuts:
+    """The segments of a non-empty batch, as ``segment_batch`` cuts them."""
+    keep = _gate(tracks, cfg.max_speed) if noise_gate else None
+    if keep is not None:
+        tracks = tracks.compress(keep)  # the first point of a trajectory is always kept
+    window = cfg.t_seg if max_span is None else min(cfg.t_seg, max_span)
+    starts = np.array(_run_starts(tracks, cfg.d_seg, window), np.intp)
+    if bins is not None:
+        b = bins(tracks.t)
+        flags = np.zeros(len(b), bool)
+        flags[starts] = True
+        flags[1:] |= b[1:] != b[:-1]
+        starts = np.flatnonzero(flags)
+
+    lon, lat = tracks.lon, tracks.lat
+    boxes = [np.minimum.reduceat(lon, starts), np.minimum.reduceat(lat, starts),
+             np.maximum.reduceat(lon, starts), np.maximum.reduceat(lat, starts)]
+    # the column extremes drop which zero (+0.0 or -0.0) came first; mbr_of keeps the first
+    ends = np.append(starts[1:], len(lon))
+    for j in np.flatnonzero((boxes[0] == 0.0) | (boxes[1] == 0.0) | (boxes[2] == 0.0) | (boxes[3] == 0.0)):
+        xs, ys = lon[starts[j] : ends[j]].tolist(), lat[starts[j] : ends[j]].tolist()
+        boxes[0][j], boxes[1][j], boxes[2][j], boxes[3][j] = min(xs), min(ys), max(xs), max(ys)
+    return Cuts(tracks, keep, starts, ends, np.searchsorted(tracks.offsets, starts, "right") - 1, boxes)
+
+
 def segment_batch(
     trajectories: Sequence[Trajectory],
     cfg: SegmentationConfig,
@@ -417,82 +483,157 @@ def segment_batch(
     """
     if not trajectories:
         return []
-    seqs: Sequence[Sequence[Location]] = [traj.locations for traj in trajectories]
-    cols = _Columns(seqs)
-    if noise_gate:
-        seqs, keep = _gate(seqs, cols, cfg.max_speed)
-        if keep is not None:
-            cols = cols.compress(keep, seqs)
-    window = cfg.t_seg if max_span is None else min(cfg.t_seg, max_span)
-    starts = _run_starts(cols, cfg.d_seg, window)
-    if bins is not None:
-        b = bins(cols.t)
-        flags = np.zeros(len(b), bool)
-        flags[starts] = True
-        flags[1:] |= b[1:] != b[:-1]
-        starts = np.flatnonzero(flags).tolist()
-
-    lon, lat, offsets = cols.lon, cols.lat, cols.offsets
-    boxes = zip(
-        np.minimum.reduceat(lon, starts).tolist(),
-        np.minimum.reduceat(lat, starts).tolist(),
-        np.maximum.reduceat(lon, starts).tolist(),
-        np.maximum.reduceat(lat, starts).tolist(),
-    )
-    owners = (np.searchsorted(offsets, starts, "right") - 1).tolist()
-    ends = starts[1:] + [len(lon)]
-    lows = offsets.tolist()
+    c = cut(Tracks.of(trajectories), cfg, max_span, noise_gate=noise_gate, bins=bins)
+    points = [p for traj in trajectories for p in traj.locations]
+    if c.keep is not None:
+        points = list(compress(points, c.keep.tolist()))
     out: list[list[Segment]] = [[] for _ in trajectories]
-    for s, e, k, box in zip(starts, ends, owners, boxes):
+    for s, e, k, *box in zip(c.starts.tolist(), c.ends.tolist(), c.owners.tolist(), *(b.tolist() for b in c.boxes)):
         traj_id, segs = trajectories[k].id, out[k]
-        locs = tuple(seqs[k][s - lows[k] : e - lows[k]])
-        # the column extremes drop which zero (+0.0 or -0.0) came first
-        mbr = mbr_of(locs) if 0.0 in box else MBR(*box)
-        segs.append(Segment(f"{traj_id}#{len(segs)}", traj_id, locs, mbr, locs[0].t, locs[-1].t))
+        locs = tuple(points[s:e])
+        segs.append(Segment(f"{traj_id}#{len(segs)}", traj_id, locs, MBR(*box), locs[0].t, locs[-1].t))
     return out
 
 
 # --- CSV input ---------------------------------------------------------------
 #
 # One point per line: traj_id,lon,lat,unix_seconds. Header line optional.
-# Points of one trajectory are expected contiguous and time-sorted; a
-# trajectory whose points are out of order is sorted (stably) by time.
+# A trajectory's points need not be contiguous or time-sorted: they are
+# grouped by id in order of first appearance and sorted (stably) by time.
+
+CSV_CHUNK = 1 << 18  # characters of a points CSV parsed at a time
+_INT64_MAX = 2**63 - 1
+_PLAIN = np.frombuffer(b",,,\n", np.uint8)  # the separators of a plain line
 
 
-def load_trajectories_csv(source: str | TextIO) -> tuple[list[Trajectory], int]:
-    """Parse a points CSV into trajectories.
+def read_points_csv(source: str | TextIO) -> tuple[Tracks, int]:
+    """Parse a points CSV into columns: (tracks, number of skipped malformed
+    lines).
 
-    Returns (trajectories, number of skipped malformed lines). A leading
-    header line is tolerated and not counted as malformed.
+    A line is malformed unless it holds an id that is not blank, lon and lat
+    within range and an integer time in [0, 2**63). A malformed first line
+    is taken as a header and not counted.
+
+    The text is parsed in chunks of about ``CSV_CHUNK`` characters, the
+    first line alone first. A chunk of plain lines (four unquoted fields, no
+    bare CR, no blank line) whose every line is well formed is split on
+    commas and newlines, converting with ``float`` and ``int``; any other
+    chunk goes through ``csv.reader`` line by line, and from the first chunk
+    holding a quote on so does the rest of the input, since a quoted field
+    may run across lines.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_trajectories_csv(fh)
+            return read_points_csv(fh)
+    parser = _Parser()
+    chunks = _chunks(source)
+    for text in chunks:
+        if '"' in text:
+            parser.rows(chain.from_iterable(io.StringIO(c, newline="") for c in chain([text], chunks)))
+        elif not parser.plain(text):
+            parser.rows(io.StringIO(text, newline=""))
+    return parser.tracks(), parser.skipped
 
-    groups: dict[str, list[Location]] = {}
-    skipped = 0
-    for lineno, row in enumerate(csv.reader(source)):
-        if not row:
-            continue
+
+def _chunks(fh: TextIO) -> Iterator[str]:
+    """The text of ``fh`` in pieces that end at a line end (but for the
+    last): its first line, then about ``CSV_CHUNK`` characters at a time."""
+    yield fh.readline()
+    tail = ""
+    while block := fh.read(CSV_CHUNK):
+        text = tail + block
+        end = text.rfind("\n") + 1
+        tail = text[end:]
+        if end:
+            yield text[:end]
+    if tail:
+        yield tail
+
+
+class _Parser:
+    """The points a CSV's chunks gave so far, as columns, with each point's
+    trajectory named by the row of its first point."""
+
+    def __init__(self) -> None:
+        self.first: dict[str, int] = {}  # trajectory id -> row of its first point
+        self.parts: list[tuple[np.ndarray, ...]] = []  # (first rows, lon, lat, t) of each chunk
+        self.rows_taken = 0
+        self.skipped = 0
+        self.index = 0  # csv record index of the next chunk's first line: 0 only at the start
+
+    def _take(self, ids: list[str], lon: np.ndarray, lat: np.ndarray, t: np.ndarray) -> None:
+        n = len(ids)
+        rows = range(self.rows_taken, self.rows_taken + n)
+        self.parts.append((np.fromiter(map(self.first.setdefault, ids, rows), np.intp, n), lon, lat, t))
+        self.rows_taken += n
+        self.index = 1
+
+    def plain(self, text: str) -> bool:
+        """Take a chunk of plain, well-formed lines; False, taking nothing,
+        for any other chunk."""
+        if "\r" in text:
+            if text.count("\r") != text.count("\r\n"):
+                return False
+            text = text.replace("\r\n", "\n")
+        if not text.endswith("\n"):
+            text += "\n"
+        if "\x00" in text:  # csv.reader refuses NUL before Python 3.11
+            return False
+        raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+        seps = raw[(raw == 44) | (raw == 10)]
+        if seps.size % 4 or not (seps.reshape(-1, 4) == _PLAIN).all():
+            return False
+        fields = text.replace("\n", ",").split(",")
+        n = len(fields) // 4
         try:
-            traj_id = row[0].strip()
-            loc = Location(lon=float(row[1]), lat=float(row[2]), t=int(row[3]))
-            if not traj_id:
-                raise ValueError("empty traj_id")
-        except (IndexError, ValueError):
-            if lineno == 0:
-                continue  # optional header
-            skipped += 1
-            continue
-        groups.setdefault(traj_id, []).append(loc)
+            lon = np.fromiter(map(float, fields[1::4]), np.float64, n)
+            lat = np.fromiter(map(float, fields[2::4]), np.float64, n)
+            t = np.fromiter(map(int, fields[3::4]), np.int64, n)
+        except (ValueError, OverflowError):
+            return False
+        ids = list(map(str.strip, fields[: 4 * n : 4]))
+        if not all(ids) or not ((-180.0 <= lon) & (lon <= 180.0) & (-90.0 <= lat) & (lat <= 90.0) & (t >= 0)).all():
+            return False
+        self._take(ids, lon, lat, t)
+        return True
 
-    trajectories = []
-    for tid in list(groups):
-        locs = groups.pop(tid)  # freed as soon as its trajectory holds the points
-        if not all(a.t <= b.t for a, b in zip(locs, islice(locs, 1, None))):
-            locs.sort(key=lambda l: l.t)
-        trajectories.append(Trajectory(tid, locs))
-    return trajectories, skipped
+    def rows(self, lines: Iterable[str]) -> None:
+        """Take lines through ``csv.reader``, a record at a time."""
+        ids, lon, lat, t = [], [], [], []
+        for index, row in enumerate(csv.reader(lines), self.index):
+            if not row:
+                continue
+            try:
+                traj_id, x, y, s = row[0].strip(), float(row[1]), float(row[2]), int(row[3])
+                if not (traj_id and -180.0 <= x <= 180.0 and -90.0 <= y <= 90.0 and 0 <= s <= _INT64_MAX):
+                    raise ValueError("malformed point")
+            except (IndexError, ValueError):
+                if index:  # a malformed first line is a header
+                    self.skipped += 1
+                continue
+            ids.append(traj_id)
+            lon.append(x)
+            lat.append(y)
+            t.append(s)
+        self._take(ids, np.array(lon, np.float64), np.array(lat, np.float64), np.array(t, np.int64))
+
+    def tracks(self) -> Tracks:
+        """The points taken, grouped by trajectory in order of first
+        appearance and sorted stably by time within each."""
+        first, lon, lat, t = (np.concatenate(c) for c in zip(*self.parts))
+        order = np.lexsort((t, first))
+        starts = np.unique(first[order], return_index=True)[1]
+        offsets = np.append(starts, len(order)).astype(np.intp)
+        return Tracks(list(self.first), lon[order], lat[order], t[order], offsets)
+
+
+def load_trajectories_csv(source: str | TextIO) -> tuple[list[Trajectory], int]:
+    """``read_points_csv`` as ``Trajectory`` objects: (trajectories, number
+    of skipped malformed lines)."""
+    tracks, skipped = read_points_csv(source)
+    points = list(map(Location, tracks.lon.tolist(), tracks.lat.tolist(), tracks.t.tolist()))
+    bounds = tracks.offsets.tolist()
+    return [Trajectory(tid, points[a:b]) for tid, a, b in zip(tracks.ids, bounds, bounds[1:])], skipped
 
 
 def write_points_csv(trajectories: Iterable[Trajectory], dest: str | TextIO, header: bool = True) -> None:

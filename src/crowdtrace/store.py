@@ -10,10 +10,12 @@ values live: ``MemoryBackend`` holds them in a list; ``FileBackend`` keeps an
 offset and a length into a single-file append-only log, replayed on open,
 which appends nothing for a put of the bytes a key already holds.
 
-``ingest`` hands trajectories to the columnar kernel of ``model`` in batches
-of about ``BATCH_POINTS`` points; one kernel pass gates noise, cuts
-stay-point segments, splits them at period boundaries and takes their boxes
-(``storage_batch``). Segments are put in input order.
+``ingest`` hands trajectories, as lon/lat/t columns (``Tracks``), to the
+columnar kernel of ``model`` in batches of about ``BATCH_POINTS`` points; one
+kernel pass gates noise, cuts stay-point segments, splits them at period
+boundaries and takes their boxes. Each segment's key and record are written
+from those columns, with every cell code of a batch computed at once, and
+segments are put in input order. No ``Location`` or ``Segment`` is built.
 
 ``st_query`` expands a window by the spatial/temporal reach, plans key ranges
 with the curve index, then refines every record in them with the exact box
@@ -37,21 +39,24 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-# filter_noise and segment stay bound here: perfbench's tracer wraps them in this module
+# filter_noise, segment and encode_key stay bound here: perfbench's tracer wraps them in this module
 from .model import (
     BATCH_POINTS,
     EARTH_RADIUS_M,
     MBR,
+    Cuts,
     Location,
     Segment,
     SegmentationConfig,
     TimeRange,
+    Tracks,
     Trajectory,
+    cut,
     filter_noise,
     segment,
     segment_batch,
 )
-from .xz import ScanRange, XzConfig, bins_of, encode_key, st_scan_ranges
+from .xz import KEY_HEAD, ScanRange, XzConfig, bins_of, encode_key, shard_of, st_scan_ranges, xz2_codes
 
 log = logging.getLogger(__name__)
 
@@ -122,8 +127,8 @@ class SortedIndex:
     def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]:
         """(key, value) of every key in [low, high), in byte order."""
         keys, slots = self._order()
-        for i in range(bisect_left(keys, low), bisect_left(keys, high)):
-            yield keys[i], self._read(slots[i])
+        lo, hi = bisect_left(keys, low), bisect_left(keys, high)
+        yield from zip(keys[lo:hi], map(self._read, slots[lo:hi].tolist()))
 
     def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> np.ndarray:
         """The key-order positions of the records in the key ranges whose
@@ -301,6 +306,7 @@ class FileBackend(SortedIndex):
 _LEN = struct.Struct("<H")
 _COUNT = struct.Struct("<I")
 _POINT = struct.Struct("<ddq")
+_POINT_DTYPE = np.dtype([("lon", "<f8"), ("lat", "<f8"), ("t", "<i8")])  # _POINT, as columns
 _PEEK = struct.Struct("<4dqqH")  # _HEADER, then the length of the trajectory id
 
 
@@ -367,57 +373,87 @@ def storage_segments(traj: Trajectory, xz_cfg: XzConfig, seg_cfg: SegmentationCo
     return storage_batch([traj], xz_cfg, seg_cfg)[0]
 
 
+def _storage_cuts(xz_cfg: XzConfig) -> dict:
+    """The kernel options that cut storage segments."""
+    return dict(max_span=xz_cfg.period_seconds, noise_gate=True, bins=lambda t: bins_of(t, xz_cfg))
+
+
 def storage_batch(
     trajectories: Sequence[Trajectory], xz_cfg: XzConfig, seg_cfg: SegmentationConfig
 ) -> list[list[Segment]]:
     """``storage_segments`` of each trajectory, in one pass of the kernel."""
-    return segment_batch(
-        trajectories,
-        seg_cfg,
-        max_span=xz_cfg.period_seconds,
-        noise_gate=True,
-        bins=lambda t: bins_of(t, xz_cfg),
-    )
+    return segment_batch(trajectories, seg_cfg, **_storage_cuts(xz_cfg))
 
 
 def ingest(
-    trajectories: Iterable[Trajectory],
+    trajectories: Iterable[Trajectory] | Tracks,
     xz_cfg: XzConfig,
     seg_cfg: SegmentationConfig,
     backend: StoreBackend,
 ) -> int:
     """Write every trajectory's storage segments; returns segments written.
 
-    Trajectories go through the kernel in batches of about ``BATCH_POINTS``
-    points, and segments are put in input order. Re-ingesting identical data
-    leaves the log unchanged; a changed segment overwrites its key. Trajectories
-    with timestamps before the index epoch are rejected and logged.
+    ``trajectories`` are ``Trajectory`` objects or their columns, as
+    ``read_points_csv`` gives them. They go through the kernel in batches of
+    about ``BATCH_POINTS`` points, and segments are put in input order, each
+    as ``encode_key`` and ``encode_segment`` would write it. Re-ingesting
+    identical data leaves the log unchanged; a changed segment overwrites its
+    key. Trajectories with timestamps before the index epoch are rejected and
+    logged.
     """
+    tracks = trajectories if isinstance(trajectories, Tracks) else Tracks.of(list(trajectories))
+    early = tracks.t[tracks.offsets[:-1]] < xz_cfg.epoch
+    if early.any():
+        for k in np.flatnonzero(early).tolist():
+            log.warning("rejecting trajectory %r: timestamps precede the epoch", tracks.ids[k])
+        tracks = tracks.compress(np.repeat(~early, np.diff(tracks.offsets)))
     written = 0
-    for batch in _batches(trajectories, xz_cfg):
-        for segs in storage_batch(batch, xz_cfg, seg_cfg):
-            for seg in segs:
-                backend.put(encode_key(seg, xz_cfg).packed(), encode_segment(seg))
-                written += 1
+    for batch in _batches(tracks):
+        for key, value in _frames(cut(batch, seg_cfg, **_storage_cuts(xz_cfg)), xz_cfg):
+            backend.put(key, value)
+            written += 1
     return written
 
 
-def _batches(trajectories: Iterable[Trajectory], xz_cfg: XzConfig) -> Iterator[list[Trajectory]]:
-    """Trajectories in input order, in groups closed once they hold
-    ``BATCH_POINTS`` points; a trajectory longer than that is a group alone."""
-    batch: list[Trajectory] = []
-    points = 0
-    for traj in trajectories:
-        if traj.locations[0].t < xz_cfg.epoch:
-            log.warning("rejecting trajectory %r: timestamps precede the epoch", traj.id)
-            continue
-        batch.append(traj)
-        points += len(traj)
-        if points >= BATCH_POINTS:
-            yield batch
-            batch, points = [], 0
-    if batch:
-        yield batch
+def _batches(tracks: Tracks) -> Iterator[Tracks]:
+    """Trajectories in input order, in runs closed once they hold
+    ``BATCH_POINTS`` points; a trajectory longer than that is a run alone."""
+    bounds = tracks.offsets.tolist()
+    lo = 0
+    for k in range(1, len(bounds)):
+        if bounds[k] - bounds[lo] >= BATCH_POINTS:
+            yield tracks[lo:k]
+            lo = k
+    if lo < len(tracks):
+        yield tracks[lo:]
+
+
+def _frames(c: Cuts, xz_cfg: XzConfig) -> Iterator[tuple[bytes, bytes]]:
+    """The (key, value) of each segment of a batch, in order: the bytes of
+    ``encode_key`` and ``encode_segment``, written from the kernel's columns.
+    Headers and points are each one structured array's bytes, sliced."""
+    tracks, starts, ends = c.tracks, c.starts, c.ends
+    t = tracks.t.astype(np.int64, casting="safe", copy=False)
+    heads = np.empty(len(starts), _HEADER_DTYPE)
+    for name, column in zip(_HEADER_DTYPE.names, [*c.boxes, t[starts], t[ends - 1]]):
+        heads[name] = column
+    points = np.empty(len(t), _POINT_DTYPE)
+    points["lon"], points["lat"], points["t"] = tracks.lon, tracks.lat, t
+    head_bytes, point_bytes = heads.tobytes(), points.tobytes()
+
+    owners = c.owners
+    ordinals = np.arange(len(starts)) - np.searchsorted(owners, owners)  # a segment's place in its trajectory
+    names = [tid.encode("utf-8") for tid in tracks.ids]
+    id_fields = [_LEN.pack(len(raw)) + raw for raw in names]
+    h, p = _HEADER.size, _POINT.size
+    rows = zip(owners.tolist(), ordinals.tolist(), bins_of(t[starts], xz_cfg).tolist(),
+               xz2_codes(*c.boxes, xz_cfg).tolist(), starts.tolist(), ends.tolist())
+    for j, (k, ordinal, b, code, s, e) in enumerate(rows):
+        sid = names[k] + b"#%d" % ordinal
+        key = KEY_HEAD.pack(shard_of(sid, xz_cfg), b, code) + sid
+        value = b"".join((head_bytes[j * h : (j + 1) * h], id_fields[k], _LEN.pack(len(sid)), sid,
+                          _COUNT.pack(e - s), point_bytes[s * p : e * p]))
+        yield key, value
 
 
 # --- query --------------------------------------------------------------------
@@ -491,9 +527,6 @@ def st_query(
         seg = decode_segment(value)
         found.setdefault(seg.sid, seg)
     return [found[sid] for sid in sorted(found)]
-
-
-_POINT_DTYPE = np.dtype([("lon", "<f8"), ("lat", "<f8"), ("t", "<i8")])  # _POINT, as columns
 
 
 @dataclass

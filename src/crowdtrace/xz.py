@@ -13,7 +13,6 @@ byte; all fields are big-endian so byte order equals logical order.
 from __future__ import annotations
 
 import enum
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -86,6 +85,9 @@ class XzElement:
         return x0, y0, side
 
 
+KEY_HEAD = struct.Struct(">BIQ")  # a row key's shard byte, period number and cell code; the sid follows
+
+
 @dataclass(frozen=True, slots=True)
 class STKey:
     """Decoded row key: shard byte, period number, cell code, segment id."""
@@ -96,12 +98,12 @@ class STKey:
     sid: str
 
     def packed(self) -> bytes:
-        return struct.pack(">BIQ", self.shard, self.bin, self.xz2) + self.sid.encode("utf-8")
+        return KEY_HEAD.pack(self.shard, self.bin, self.xz2) + self.sid.encode("utf-8")
 
     @classmethod
     def parse(cls, key: bytes) -> "STKey":
-        shard, bin_, xz2 = struct.unpack_from(">BIQ", key)
-        return cls(shard, bin_, xz2, key[13:].decode("utf-8"))
+        shard, bin_, xz2 = KEY_HEAD.unpack_from(key)
+        return cls(shard, bin_, xz2, key[KEY_HEAD.size :].decode("utf-8"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,50 +118,79 @@ class ScanRange:
             raise ValueError("scan range must be non-empty")
 
 
-def _normalize(mbr: MBR, world: MBR) -> tuple[float, float, float, float]:
+def _normalize(min_lon, min_lat, max_lon, max_lat, world: MBR):
+    """Box corners (floats or arrays) as fractions of the world's extent."""
     w = world.max_lon - world.min_lon
     h = world.max_lat - world.min_lat
     return (
-        (mbr.min_lon - world.min_lon) / w,
-        (mbr.min_lat - world.min_lat) / h,
-        (mbr.max_lon - world.min_lon) / w,
-        (mbr.max_lat - world.min_lat) / h,
+        (min_lon - world.min_lon) / w,
+        (min_lat - world.min_lat) / h,
+        (max_lon - world.min_lon) / w,
+        (max_lat - world.min_lat) / h,
     )
 
 
-def xz2_element(mbr: MBR, cfg: XzConfig) -> XzElement:
-    """Cell assignment for an extended object.
+def xz2_cells(
+    min_lon: np.ndarray, min_lat: np.ndarray, max_lon: np.ndarray, max_lat: np.ndarray, cfg: XzConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell assignment for a batch of extended objects, in closed form:
+    (depth, column, row) of each box's cell.
 
-    Picks the deepest depth (up to the resolution) whose cell size covers the
-    box on both axes, then the cell at that depth containing the box's min
-    corner. The cell doubled from its min corner is then guaranteed to cover
-    the whole box.
+    The depth is the deepest (up to the resolution) whose cell size covers the
+    box on both axes: ``floor(-log2(extent))``, then stepped down or up until
+    it holds. The cell at that depth is the one holding the box's min corner,
+    ``floor(x0 * 2**depth)`` capped at the last one, so the cell doubled from
+    its min corner covers the whole box. Both are exact: scaling by a power of
+    two and the comparisons against ``0.5**depth`` round nothing.
     """
-    if not cfg.world.contains(mbr):
-        raise ValueError(f"mbr outside indexed world: {mbr}")
-    x0, y0, x1, y1 = _normalize(mbr, cfg.world)
-    extent = max(x1 - x0, y1 - y0)
+    world = cfg.world
+    lon0, lat0, lon1, lat1 = (np.asarray(c, np.float64) for c in (min_lon, min_lat, max_lon, max_lat))
+    outside = (lon0 < world.min_lon) | (lat0 < world.min_lat) | (lon1 > world.max_lon) | (lat1 > world.max_lat)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"mbr outside indexed world: {MBR(lon0[i], lat0[i], lon1[i], lat1[i])}")
+    x0, y0, x1, y1 = _normalize(lon0, lat0, lon1, lat1, world)
+    extent = np.maximum(x1 - x0, y1 - y0)
 
-    if extent <= 0.0:
-        depth = cfg.resolution
-    else:
-        depth = min(cfg.resolution, max(0, int(math.floor(-math.log2(extent)))))
-        while depth < cfg.resolution and 0.5 ** (depth + 1) >= extent:
-            depth += 1
-        while depth > 0 and 0.5**depth < extent:
-            depth -= 1
+    g = cfg.resolution
+    with np.errstate(divide="ignore"):
+        guess = np.floor(-np.log2(np.where(extent > 0.0, extent, 1.0)))
+    depth = np.where(extent > 0.0, np.clip(guess, 0, g), g).astype(np.int64)
+    while (up := (depth < g) & (np.ldexp(1.0, -(depth + 1)) >= extent)).any():
+        depth += up
+    while (down := (depth > 0) & (np.ldexp(1.0, -depth) < extent)).any():
+        depth -= down
+    last = np.left_shift(1, depth) - 1
+    column = np.minimum(np.floor(np.ldexp(x0, depth)), last).astype(np.int64)
+    row = np.minimum(np.floor(np.ldexp(y0, depth)), last).astype(np.int64)
+    return depth, column, row
 
-    digits = []
-    cx = cy = 0.0
-    side = 1.0
-    for _ in range(depth):
-        side /= 2.0
-        xbit = int(x0 >= cx + side)
-        ybit = int(y0 >= cy + side)
-        digits.append(xbit | (ybit << 1))
-        cx += xbit * side
-        cy += ybit * side
-    return XzElement(tuple(digits))
+
+def xz2_codes(
+    min_lon: np.ndarray, min_lat: np.ndarray, max_lon: np.ndarray, max_lat: np.ndarray, cfg: XzConfig
+) -> np.ndarray:
+    """``sequence_code`` of each box's ``xz2_cells`` cell: a depth-d cell's
+    digit i (quadrant bits of its column and row, most significant first)
+    adds ``digit * subtree_size(i, resolution) + 1``."""
+    depth, column, row = xz2_cells(min_lon, min_lat, max_lon, max_lat, cfg)
+    g = cfg.resolution
+    codes = depth.copy()
+    for i in range(1, int(depth.max(initial=0)) + 1):
+        shift = np.maximum(depth - i, 0)
+        digit = ((column >> shift) & 1) | (((row >> shift) & 1) << 1)
+        codes += np.where(depth >= i, digit * subtree_size(i, g), 0)
+    return codes
+
+
+def xz2_element(mbr: MBR, cfg: XzConfig) -> XzElement:
+    """Cell assignment for one extended object: ``xz2_cells`` of its box, as
+    quadrant digits from the root. Raises ``ValueError`` outside the world."""
+    depth, column, row = (int(a[0]) for a in xz2_cells(*([v] for v in _corners(mbr)), cfg))
+    return XzElement(tuple(((column >> s) & 1) | (((row >> s) & 1) << 1) for s in range(depth - 1, -1, -1)))
+
+
+def _corners(mbr: MBR) -> tuple[float, float, float, float]:
+    return mbr.min_lon, mbr.min_lat, mbr.max_lon, mbr.max_lat
 
 
 def subtree_size(depth: int, resolution: int) -> int:
@@ -200,15 +231,20 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+def shard_of(sid: bytes, cfg: XzConfig) -> int:
+    """The shard byte of a UTF-8 segment id."""
+    return 0 if cfg.num_shards == 1 else _fnv1a64(sid) % cfg.num_shards
+
+
 def encode_key(seg: Segment, cfg: XzConfig) -> STKey:
     """Row key of a segment. The segment must fit inside one time period."""
     b = bin_of(seg.st, cfg)
     if bin_of(seg.et, cfg) != b:
         raise ValueError(f"segment {seg.sid!r} spans multiple time periods")
     return STKey(
-        shard=0 if cfg.num_shards == 1 else _fnv1a64(seg.sid.encode("utf-8")) % cfg.num_shards,
+        shard=shard_of(seg.sid.encode("utf-8"), cfg),
         bin=b,
-        xz2=sequence_code(xz2_element(seg.mbr, cfg), cfg),
+        xz2=int(xz2_codes(*([v] for v in _corners(seg.mbr)), cfg)[0]),
         sid=seg.sid,
     )
 
@@ -221,7 +257,7 @@ def spatial_scan_ranges(window: MBR, cfg: XzConfig) -> list[tuple[int, int]]:
     box intersects the window; callers refine with the exact box test.
     Adjacent and overlapping intervals are coalesced.
     """
-    wx0, wy0, wx1, wy1 = _normalize(window, cfg.world)
+    wx0, wy0, wx1, wy1 = _normalize(*_corners(window), cfg.world)
     wx0, wy0 = max(wx0, 0.0), max(wy0, 0.0)
     wx1, wy1 = min(wx1, 1.0), min(wy1, 1.0)
     if wx0 > wx1 or wy0 > wy1:
@@ -275,8 +311,8 @@ def st_scan_ranges(window: MBR, tr: TimeRange, cfg: XzConfig) -> list[ScanRange]
     last = bin_of(tr.end, cfg)
     ranges = [
         ScanRange(
-            low=struct.pack(">BIQ", shard, b, lo),
-            high=struct.pack(">BIQ", shard, b, hi),
+            low=KEY_HEAD.pack(shard, b, lo),
+            high=KEY_HEAD.pack(shard, b, hi),
         )
         for shard in range(cfg.num_shards)
         for b in range(first, last + 1)

@@ -5,6 +5,13 @@ columnar kernel in ``crowdtrace.model`` replaced. The kernel must make every
 decision they make, bit for bit, so the tests compare the two on random and
 adversarial inputs.
 
+``load_trajectories_csv`` is the points-CSV parser as one ``csv.reader``
+loop building a validated ``Location`` per row; ``crowdtrace.model``'s
+chunked column parser must return the same trajectories, points (bit for
+bit) and skipped count. ``xz2_element`` is the quadtree descent that cell
+assignment was before it took closed form; ``crowdtrace.xz.xz2_cells`` must
+pick the same cell for every box.
+
 ``sft_leaves`` is the quadtree of time trees the join used to build its scan
 sets from. ``crowdtrace.join.sft_build`` must return the same leaves in the
 same order.
@@ -22,13 +29,83 @@ query-segment order, not in the iteration order of a set of sids, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+import math
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from crowdtrace.metric import PointArray, QueryParams, segment_ir, span_weight
 from crowdtrace.model import MBR, WORLD, Location, Segment, SegmentationConfig, TimeRange, Trajectory
 from crowdtrace.query import ALL_LEMMAS, COUNTER_KEYS
 from crowdtrace.store import encode_segment, st_query
-from crowdtrace.xz import XzConfig, bin_of, encode_key
+from crowdtrace.xz import XzConfig, XzElement, bin_of, encode_key, sequence_code
+
+
+def load_trajectories_csv(source):
+    """Parse a points CSV into (trajectories, skipped malformed lines): ids
+    in order of first appearance, each one's points sorted stably by time; a
+    malformed first line is a header and not counted."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return load_trajectories_csv(fh)
+
+    groups: dict[str, list[Location]] = {}
+    skipped = 0
+    for lineno, row in enumerate(csv.reader(source)):
+        if not row:
+            continue
+        try:
+            traj_id = row[0].strip()
+            loc = Location(lon=float(row[1]), lat=float(row[2]), t=int(row[3]))
+            if not traj_id:
+                raise ValueError("empty traj_id")
+        except (IndexError, ValueError):
+            if lineno == 0:
+                continue  # optional header
+            skipped += 1
+            continue
+        groups.setdefault(traj_id, []).append(loc)
+
+    trajectories = []
+    for tid in list(groups):
+        locs = groups.pop(tid)
+        if not all(a.t <= b.t for a, b in zip(locs, islice(locs, 1, None))):
+            locs.sort(key=lambda l: l.t)
+        trajectories.append(Trajectory(tid, locs))
+    return trajectories, skipped
+
+
+def xz2_element(mbr: MBR, cfg: XzConfig) -> XzElement:
+    """The deepest cell (up to the resolution) covering the box on both axes,
+    found by descending the quadtree along the box's min corner."""
+    if not cfg.world.contains(mbr):
+        raise ValueError(f"mbr outside indexed world: {mbr}")
+    w = cfg.world.max_lon - cfg.world.min_lon
+    h = cfg.world.max_lat - cfg.world.min_lat
+    x0, y0 = (mbr.min_lon - cfg.world.min_lon) / w, (mbr.min_lat - cfg.world.min_lat) / h
+    x1, y1 = (mbr.max_lon - cfg.world.min_lon) / w, (mbr.max_lat - cfg.world.min_lat) / h
+    extent = max(x1 - x0, y1 - y0)
+
+    if extent <= 0.0:
+        depth = cfg.resolution
+    else:
+        depth = min(cfg.resolution, max(0, int(math.floor(-math.log2(extent)))))
+        while depth < cfg.resolution and 0.5 ** (depth + 1) >= extent:
+            depth += 1
+        while depth > 0 and 0.5**depth < extent:
+            depth -= 1
+
+    digits = []
+    cx = cy = 0.0
+    side = 1.0
+    for _ in range(depth):
+        side /= 2.0
+        xbit = int(x0 >= cx + side)
+        ybit = int(y0 >= cy + side)
+        digits.append(xbit | (ybit << 1))
+        cx += xbit * side
+        cy += ybit * side
+    return XzElement(tuple(digits))
 
 
 def filter_noise(traj: Trajectory, cfg: SegmentationConfig) -> Trajectory:
@@ -89,9 +166,11 @@ def storage_segments(traj: Trajectory, xz_cfg: XzConfig, seg_cfg: SegmentationCo
 
 
 def frames(trajectories, xz_cfg: XzConfig, seg_cfg: SegmentationConfig) -> list[tuple[bytes, bytes]]:
-    """The (key, value) puts of an ingest, in order, through the reference loops."""
+    """The (key, value) puts of an ingest, in order, through the reference
+    loops, with cell codes from the quadtree descent."""
     return [
-        (encode_key(seg, xz_cfg).packed(), encode_segment(seg))
+        (replace(encode_key(seg, xz_cfg), xz2=sequence_code(xz2_element(seg.mbr, xz_cfg), xz_cfg)).packed(),
+         encode_segment(seg))
         for traj in trajectories
         if traj.locations[0].t >= xz_cfg.epoch
         for seg in storage_segments(traj, xz_cfg, seg_cfg)

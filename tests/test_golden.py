@@ -1,13 +1,18 @@
-"""Byte-stability of the curve codes and row keys against pinned vectors.
+"""Byte-stability of the curve codes, row keys and store files against pinned
+values.
 
 The TSV files under testdata/ were recorded from this implementation after
 its code assignment was verified exhaustively against pre-order enumeration
-(see test_xz). Any change that shifts codes or key bytes must fail here.
+(see test_xz). The store hashes were recorded from the ingest that built a
+``Location`` per point and a ``Segment`` per stay, before it went columnar.
+Any change that shifts codes, key bytes or record bytes must fail here.
 """
 
+import hashlib
 import os
 
 from crowdtrace import Location, Segment, XzConfig, XzElement, encode_key, sequence_code
+from crowdtrace.cli import main
 
 TESTDATA = os.path.join(os.path.dirname(__file__), "..", "testdata")
 
@@ -62,3 +67,19 @@ def test_row_keys_match_golden_file():
     for seg, (sid_file, hex_file) in zip(segments, lines):
         assert seg.sid == sid_file
         assert encode_key(seg, GOLDEN_CFG).packed().hex() == hex_file
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pinned_store_files(tmp_path, capsys):
+    points, store = tmp_path / "points.csv", tmp_path / "store"
+    assert main(["gen", "--seed", "42", "--n-traj", "5000", "--out", str(points)]) == 0
+    assert sha256(points) == "6e2528e057aa169956315c5bbc6ab920ba17a42726234dd8c95ee561ef29fdc4"
+    assert main(["ingest", "--input", str(points), "--store", str(store)]) == 0
+    assert "ingested 6942 segments from 5000 trajectories" in capsys.readouterr().out
+    log = store / "segments.log"
+    assert log.stat().st_size == 2_969_593
+    assert sha256(log) == "c13d316c8aa5e159418d0b2de08d774f273e25538b63c6da230d5877401b76ca"
+    assert sha256(store / "meta.json") == "3c733f88069d9413aaf976abe3df7b4c9a4d1e9f768e5fefd2620f5f0c784506"

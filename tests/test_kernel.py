@@ -6,6 +6,7 @@ corner of -0.0 where the reference has 0.0 fails too.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +232,16 @@ def walk(traj_id, n, seed, t0=1_600_000_000):
         if rng.random() < 0.01:
             east += 5000.0  # a jump the noise gate drops
     return Trajectory(traj_id, points)
+
+
+@given(populations, seg_configs, xz_configs, st.sampled_from([1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_ingest_frames_match_reference(population, cfg, xz_cfg, shards):
+    # keys and records written from the kernel's columns, zero box corners and shard bytes included
+    xz_cfg = replace(xz_cfg, num_shards=shards)
+    rec = Recorder()
+    assert ingest(population, xz_cfg, cfg, rec) == len(rec.puts)
+    assert rec.puts == reference.frames(population, xz_cfg, cfg)
 
 
 def test_trajectory_longer_than_the_batch_budget():

@@ -1,10 +1,16 @@
+import math
 import random
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from crowdtrace import (
     MBR,
+    Location,
     Segment,
     STKey,
     TimeUnit,
@@ -15,8 +21,10 @@ from crowdtrace import (
     sequence_code,
     spatial_scan_ranges,
     st_scan_ranges,
+    xz2_element,
 )
-from crowdtrace.model import TimeRange
+from crowdtrace.model import WORLD, TimeRange
+from crowdtrace.xz import xz2_codes
 from conftest import loc
 
 
@@ -119,6 +127,103 @@ def test_element_assignment_properties():
         # deepest such cell: the next level's cell is smaller than the box
         if len(elem.digits) < cfg.resolution:
             assert side / 2.0 < max(bx1 - bx0, by1 - by0)
+
+
+# --- closed-form cells against the quadtree descent ------------------------------
+
+CITY = MBR(100.0, 30.0, 120.0, 50.0)  # a world other than the default
+
+
+@st.composite
+def boxes(draw, world):
+    """Boxes inside ``world``: random ones of any size, ones whose min corner
+    or extent sits on or one ulp off a dyadic cell edge, corners on the
+    world's edges, and points."""
+    w, h = world.max_lon - world.min_lon, world.max_lat - world.min_lat
+    nudge = st.sampled_from([-math.inf, None, None, math.inf])
+
+    def coord(lo, span):
+        kind = draw(st.sampled_from(["random", "dyadic", "edge"]))
+        if kind == "random":
+            return draw(st.floats(lo, lo + span))
+        if kind == "edge":
+            return draw(st.sampled_from([lo, lo + span]))
+        d = draw(st.integers(0, 31))
+        x = lo + span * draw(st.integers(0, 2**d)) / 2**d
+        toward = draw(nudge)
+        return x if toward is None else math.nextafter(x, toward)
+
+    def extent(span):
+        kind = draw(st.sampled_from(["zero", "random", "dyadic"]))
+        if kind == "zero":
+            return 0.0
+        if kind == "random":
+            return span * draw(st.floats(0.0, 1.0)) * 2.0 ** -draw(st.integers(0, 40))
+        e = span / 2 ** draw(st.integers(0, 33))
+        toward = draw(nudge)
+        return e if toward is None else max(0.0, math.nextafter(e, toward))
+
+    x0 = min(max(coord(world.min_lon, w), world.min_lon), world.max_lon)
+    y0 = min(max(coord(world.min_lat, h), world.min_lat), world.max_lat)
+    return MBR(x0, y0, min(x0 + extent(w), world.max_lon), min(y0 + extent(h), world.max_lat))
+
+
+def _columns(box_list):
+    return [np.array([getattr(b, f) for b in box_list]) for f in ("min_lon", "min_lat", "max_lon", "max_lat")]
+
+
+@st.composite
+def layouts(draw):
+    world = draw(st.sampled_from([WORLD, CITY]))
+    return XzConfig(resolution=draw(st.integers(1, 31)), world=world), draw(st.lists(boxes(world), min_size=1, max_size=30))
+
+
+@given(layouts())
+@settings(max_examples=400, deadline=None)
+def test_closed_form_cells_match_descent(layout):
+    cfg, box_list = layout
+    want = [reference.xz2_element(b, cfg) for b in box_list]
+    assert [xz2_element(b, cfg) for b in box_list] == want
+    assert xz2_codes(*_columns(box_list), cfg).tolist() == [sequence_code(e, cfg) for e in want]
+
+
+@pytest.mark.parametrize("g", [1, 2, 15, 30, 31])
+def test_closed_form_cells_on_the_world_edges(g):
+    cfg = XzConfig(resolution=g)
+    tiny = math.ulp(180.0)
+    box_list = [
+        MBR(180.0, 90.0, 180.0, 90.0), MBR(-180.0, -90.0, -180.0, -90.0), MBR(-180.0, 90.0, -180.0, 90.0),
+        MBR(180.0 - tiny, 90.0 - tiny, 180.0, 90.0), MBR(-180.0, -90.0, 180.0, 90.0),
+        MBR(0.0, 0.0, 0.0, 0.0), MBR(-0.0, -0.0, 0.0, 0.0), MBR(-tiny, -tiny, tiny, tiny),
+        MBR(179.0, -90.0, 180.0, 90.0), MBR(-180.0, 89.0, 180.0, 90.0),
+    ]
+    want = [reference.xz2_element(b, cfg) for b in box_list]
+    assert [xz2_element(b, cfg) for b in box_list] == want
+    assert xz2_codes(*_columns(box_list), cfg).tolist() == [sequence_code(e, cfg) for e in want]
+    assert len(want[0].digits) == len(want[1].digits) == g  # a point sits in a leaf
+
+
+def test_closed_form_keys_match_descent_keys():
+    cfg = XzConfig(resolution=15, num_shards=4)
+    rng = random.Random(9)
+    for i in range(300):
+        x, y = rng.uniform(-180, 179), rng.uniform(-90, 89)
+        seg = Segment.build(f"s{i}#0", f"s{i}", [Location(x, y, 100), Location(x + rng.random(), y + rng.random(), 160)])
+        key = encode_key(seg, cfg)
+        assert key.xz2 == sequence_code(reference.xz2_element(seg.mbr, cfg), cfg)
+
+
+@pytest.mark.parametrize("box", [MBR(99.0, 40.0, 101.0, 41.0), MBR(110.0, 40.0, 121.0, 41.0),
+                                 MBR(110.0, 29.5, 111.0, 31.0), MBR(110.0, 40.0, 111.0, 50.5)])
+def test_boxes_outside_the_world_raise(box):
+    cfg = XzConfig(resolution=8, world=CITY)
+    with pytest.raises(ValueError, match="outside indexed world"):
+        reference.xz2_element(box, cfg)
+    with pytest.raises(ValueError, match="outside indexed world"):
+        xz2_element(box, cfg)
+    inside = MBR(105.0, 35.0, 106.0, 36.0)
+    with pytest.raises(ValueError, match="outside indexed world"):
+        xz2_codes(*_columns([inside, box, inside]), cfg)
 
 
 # --- sequence codes --------------------------------------------------------------
