@@ -637,7 +637,9 @@ def load_trajectories_csv(source: str | TextIO) -> tuple[list[Trajectory], int]:
 
 
 def write_points_csv(trajectories: Iterable[Trajectory], dest: str | TextIO, header: bool = True) -> None:
-    """Write trajectories in the ingest CSV format."""
+    """Write trajectories in the ingest CSV format, the bytes ``csv.writer``
+    writes: a trajectory whose id needs no quoting as one joined string of
+    rows, any other through ``csv.writer``."""
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_points_csv(trajectories, fh, header=header)
@@ -646,5 +648,8 @@ def write_points_csv(trajectories: Iterable[Trajectory], dest: str | TextIO, hea
     if header:
         writer.writerow(["traj_id", "lon", "lat", "unix_seconds"])
     for traj in trajectories:
-        for loc in traj.locations:
-            writer.writerow([traj.id, repr(loc.lon), repr(loc.lat), loc.t])
+        tid = traj.id
+        if any(c in tid for c in ',"\r\n'):
+            writer.writerows([tid, repr(loc.lon), repr(loc.lat), loc.t] for loc in traj.locations)
+        else:
+            dest.write("".join([f"{tid},{loc.lon!r},{loc.lat!r},{loc.t}\n" for loc in traj.locations]))

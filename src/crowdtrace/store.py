@@ -3,12 +3,14 @@
 Two interchangeable backends satisfy the same contract: ``put(key, value)``,
 ``scan(low, high)`` yielding keys in strict byte order within [low, high),
 ``refine``, the key-order positions of the records in key ranges whose
-segment header meets a window, and ``read``, the values at such positions.
-Both are one ``SortedIndex``: sorted keys over slots, with each slot's fixed
-48-byte header (box, st, et) kept as numpy columns. They differ only in where
-values live: ``MemoryBackend`` holds them in a list; ``FileBackend`` keeps an
-offset and a length into a single-file append-only log, replayed on open,
-which appends nothing for a put of the bytes a key already holds.
+segment header meets a window, ``positions_of``, those of the records of one
+trajectory, and ``read``, the values at such positions. Both are one
+``SortedIndex``: sorted keys over slots, with each slot's fixed 48-byte header
+(box, st, et) kept as numpy columns and its trajectory id in a column beside
+them. They differ only in where values live: ``MemoryBackend`` holds them in a
+list; ``FileBackend`` keeps an offset and a length into a single-file
+append-only log, replayed on open a chunk of frames at a time, which appends
+nothing for a put of the bytes a key already holds.
 
 ``ingest`` hands trajectories, as lon/lat/t columns (``Tracks``), to the
 columnar kernel of ``model`` in batches of about ``BATCH_POINTS`` points; one
@@ -70,11 +72,15 @@ class StoreBackend(Protocol):
 
     def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> np.ndarray: ...
 
+    def positions_of(self, traj_id: str) -> np.ndarray: ...
+
     def read(self, positions: np.ndarray) -> Iterator[bytes]: ...
 
 
 # the fixed header an encoded segment starts with: box corners, st, et
 _HEADER = struct.Struct("<4dqq")
+_LEN = struct.Struct("<H")
+_PEEK = struct.Struct("<4dqqH")  # _HEADER, then the length of the trajectory id
 _HEADER_DTYPE = np.dtype([("min_lon", "<f8"), ("min_lat", "<f8"), ("max_lon", "<f8"),
                           ("max_lat", "<f8"), ("st", "<i8"), ("et", "<i8")])
 # kept for a value too short to hold a header: its NaN box meets no window
@@ -82,34 +88,44 @@ _NO_HEADER = _HEADER.pack(math.nan, math.nan, math.nan, math.nan, 0, 0)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+def _id_field(value: bytes) -> bytes | None:
+    """The raw bytes of a value's length-prefixed trajectory id, or None for
+    a value too short to hold that field."""
+    if len(value) < _PEEK.size:
+        return None
+    end = _PEEK.size + _LEN.unpack_from(value, _HEADER.size)[0]
+    return value[_PEEK.size : end] if len(value) >= end else None
+
+
 class SortedIndex:
     """The sorted key index both backends share.
 
     A key owns one slot for life; a new key takes the next one. A put to the
-    key replaces the slot's value and the header bytes kept for it, so the
-    headers form numpy columns by slot; a subclass says where a slot's value
-    lives (``_read``). The sorted keys and their slots are rebuilt by the
-    first scan after a new key; headers are read by slot, so no scan sees a
-    stale one. Scans must not interleave with writes.
+    key replaces the slot's value and the header bytes and trajectory id kept
+    for it, so the headers form numpy columns by slot; a subclass says where a
+    slot's value lives (``_read``). The sorted keys and their slots are
+    rebuilt by the first scan after a new key; headers and ids are read by
+    slot, so no scan sees a stale one. Scans must not interleave with writes.
     """
 
     def __init__(self) -> None:
         self._slot_of: dict[bytes, int] = {}
         self._headers = bytearray()  # _HEADER.size bytes a slot
+        self._ids: list[bytes | None] = []  # by slot: ``_id_field`` of the value
         self._sorted: tuple[list[bytes], np.ndarray] | None = None
 
-    def _record(self, key: bytes, head: bytes) -> int:
-        """The key's slot, now holding ``head``: the value's first
-        ``_HEADER.size`` bytes, or all of a shorter value."""
-        if len(head) < _HEADER.size:
-            head = _NO_HEADER
+    def _record(self, key: bytes, value: bytes) -> int:
+        """The key's slot, now holding the header and id of ``value``."""
+        head = value[: _HEADER.size] if len(value) >= _HEADER.size else _NO_HEADER
         slot = self._slot_of.get(key)
         if slot is None:
-            slot = self._slot_of[key] = len(self._headers) // _HEADER.size
+            slot = self._slot_of[key] = len(self._ids)
             self._headers += head
+            self._ids.append(_id_field(value))
             self._sorted = None
         else:
             self._headers[slot * _HEADER.size : (slot + 1) * _HEADER.size] = head
+            self._ids[slot] = _id_field(value)
         return slot
 
     def _read(self, slot: int) -> bytes:
@@ -155,6 +171,17 @@ class SortedIndex:
         keep &= max(t.start, _INT64_MIN) <= heads["et"][picked]
         return at[keep]
 
+    def positions_of(self, traj_id: str) -> np.ndarray:
+        """The key-order positions of the records whose value names trajectory
+        ``traj_id``; ``read`` takes their values. One mask over the id column."""
+        try:
+            raw = traj_id.encode("utf-8")
+        except UnicodeEncodeError:  # not text any record could name
+            return np.empty(0, np.intp)
+        slots = self._order()[1]
+        # against a 0-d object array: bare bytes would become numpy's 'S' type, which drops trailing NULs
+        return np.flatnonzero(np.array(self._ids, object)[slots] == np.array(raw, object))
+
     def read(self, positions: np.ndarray) -> Iterator[bytes]:
         """The values at key-order positions from ``refine``, made since the
         last new key; each is read as the iterator reaches it."""
@@ -180,7 +207,7 @@ class MemoryBackend(SortedIndex):
         self._values: list[bytes] = []
 
     def put(self, key: bytes, value: bytes) -> None:
-        _put_slot(self._values, self._record(key, value[: _HEADER.size]), value)
+        _put_slot(self._values, self._record(key, value), value)
 
     def _read(self, slot: int) -> bytes:
         return self._values[slot]
@@ -188,7 +215,7 @@ class MemoryBackend(SortedIndex):
 
 _FRAME = struct.Struct("<II")
 _LOG_MAGIC = b"CTLOG1\n"
-REPLAY_CHUNK = 1 << 16  # bytes one positional read takes while a log is replayed
+REPLAY_CHUNK = 1 << 18  # bytes one positional read takes while a log is replayed
 
 
 class FileBackend(SortedIndex):
@@ -196,14 +223,15 @@ class FileBackend(SortedIndex):
 
     Writes append length-prefixed frames. Opening the log replays it into the
     index, later writes winning, by positional reads of ``REPLAY_CHUNK``
-    bytes, taking each value's header but not holding the log. A put of the
-    bytes its key already holds appends nothing, so re-ingesting unchanged
-    data leaves the log as it was. A torn frame at the tail, left by a writer
-    that stopped mid-frame, is skipped on open and cut off by the first
-    write, so new frames follow the last whole one; a backend that only reads
-    never changes the file. Values are read back with positional reads, so
-    several threads may scan or refine on one backend at once. Closing it
-    lets the index go. Single writer; scans must not interleave with writes.
+    bytes, taking each value's header and trajectory id but not holding the
+    log. A put of the bytes its key already holds appends nothing, so
+    re-ingesting unchanged data leaves the log as it was. A torn frame at the
+    tail, left by a writer that stopped mid-frame, is skipped on open and cut
+    off by the first write, so new frames follow the last whole one; a
+    backend that only reads never changes the file. Values are read back with
+    positional reads, so several threads may scan or refine on one backend at
+    once. Closing it lets the index go. Single writer; scans must not
+    interleave with writes.
     """
 
     def __init__(self, path: str):
@@ -230,30 +258,84 @@ class FileBackend(SortedIndex):
         """Index every whole frame; returns the offset just past the last one.
 
         Each frame takes the next slot and a key the slot of its last frame,
-        so an overwritten frame leaves an unused slot behind."""
+        so an overwritten frame leaves an unused slot behind. A chunk of the
+        log is walked for the frames wholly inside it, which are indexed at
+        once (``_index_chunk``); a frame larger than a chunk is indexed alone
+        (``_index_frame``). A torn frame at the tail ends the replay."""
         fd = self._fd
         size = os.fstat(fd).st_size
         if os.pread(fd, len(_LOG_MAGIC), 0) != _LOG_MAGIC:
             raise ValueError(f"{self.path} is not a segment log")
-        slot_of, headers, offsets, lengths = self._slot_of, self._headers, self._offsets, self._lengths
+        unpack = _FRAME.unpack_from
         end = len(_LOG_MAGIC)
-        buf, base = b"", end  # buf holds the log from offset base on
         while end + _FRAME.size <= size:
-            if end + _FRAME.size > base + len(buf):
-                buf, base = os.pread(fd, REPLAY_CHUNK, end), end
-            key_len, val_len = _FRAME.unpack_from(buf, end - base)
-            offset = end + _FRAME.size + key_len
-            if offset + val_len > size:
-                break  # torn tail write; ignore the partial frame
-            head_end = offset + min(val_len, _HEADER.size)
-            if head_end > base + len(buf):
-                buf, base = os.pread(fd, max(REPLAY_CHUNK, head_end - end), end), end
-            slot_of[buf[offset - key_len - base : offset - base]] = len(offsets)
-            headers += buf[offset - base : head_end - base] if val_len >= _HEADER.size else _NO_HEADER
-            offsets.append(offset)
-            lengths.append(val_len)
-            end = offset + val_len
+            buf = os.pread(fd, min(REPLAY_CHUNK, size - end), end)
+            starts: list[int] = []  # of the whole frames in buf
+            walked, limit = 0, len(buf) - _FRAME.size
+            while walked <= limit:
+                key_len, val_len = unpack(buf, walked)
+                past = walked + _FRAME.size + key_len + val_len
+                if past > len(buf):
+                    break
+                starts.append(walked)
+                walked = past
+            if starts:
+                self._index_chunk(buf, end, starts)
+                end += walked
+            else:
+                past = self._index_frame(end, size)
+                if past is None:
+                    break  # torn tail write; ignore the partial frame
+                end = past
         return end
+
+    def _index_chunk(self, buf: bytes, base: int, starts: list[int]) -> None:
+        """Index the whole frames starting at ``starts`` in ``buf``, the log
+        from offset ``base`` on: their length fields, headers and id lengths
+        gathered as rows of bytes by one numpy index each, keys and ids sliced."""
+        padded = np.frombuffer(buf + bytes(_PEEK.size), np.uint8)  # so every row below is whole
+        rows = np.ndarray((len(buf) + 1, _PEEK.size), np.uint8, padded, 0, (1, 1))  # row i: bytes i on
+        at = np.array(starts, np.intp)
+        key_len, val_len = rows[at, : _FRAME.size].view("<u4").T.astype(np.intp)
+        val_at = at + _FRAME.size + key_len
+        slot = len(self._ids)
+        keys = [buf[a:b] for a, b in zip((at + _FRAME.size).tolist(), val_at.tolist())]
+        self._slot_of.update(zip(keys, range(slot, slot + len(keys))))
+
+        fields = rows[val_at]  # a value's header and id length, if it is long enough to hold them
+        short = val_len < _HEADER.size
+        if short.any():
+            fields[short, : _HEADER.size] = np.frombuffer(_NO_HEADER, np.uint8)
+        self._headers += fields[:, : _HEADER.size].tobytes()
+        id_len = fields[:, _HEADER.size :].copy().view("<u2")[:, 0].astype(np.intp)
+        id_at = val_at + _PEEK.size
+        ids = [buf[a:b] for a, b in zip(id_at.tolist(), (id_at + id_len).tolist())]
+        for j in np.flatnonzero(val_len < _PEEK.size + id_len).tolist():
+            ids[j] = None  # too short to hold its id field
+        self._ids += ids
+        self._offsets.extend((base + val_at).tolist())
+        self._lengths.extend(val_len.tolist())
+
+    def _index_frame(self, at: int, size: int) -> int | None:
+        """Index the one frame at offset ``at``, reading only its length
+        fields, key, header and id; returns the offset past it, or None when
+        the log ends inside it."""
+        key_len, val_len = _FRAME.unpack(os.pread(self._fd, _FRAME.size, at))
+        offset = at + _FRAME.size + key_len
+        if offset + val_len > size:
+            return None
+        fields = os.pread(self._fd, key_len + min(val_len, _PEEK.size), at + _FRAME.size)
+        traj_id = None
+        if val_len >= _PEEK.size:
+            id_len = _LEN.unpack_from(fields, key_len + _HEADER.size)[0]
+            if val_len >= _PEEK.size + id_len:
+                traj_id = os.pread(self._fd, id_len, offset + _PEEK.size)
+        self._slot_of[fields[:key_len]] = len(self._ids)
+        self._headers += fields[key_len : key_len + _HEADER.size] if val_len >= _HEADER.size else _NO_HEADER
+        self._ids.append(traj_id)
+        self._offsets.append(offset)
+        self._lengths.append(val_len)
+        return offset + val_len
 
     def put(self, key: bytes, value: bytes) -> None:
         slot = self._slot_of.get(key)
@@ -275,7 +357,7 @@ class FileBackend(SortedIndex):
         self._wf.write(key)
         offset = self._wf.tell()
         self._wf.write(value)
-        slot = self._record(key, value[: _HEADER.size])
+        slot = self._record(key, value)
         _put_slot(self._offsets, slot, offset)
         _put_slot(self._lengths, slot, len(value))
 
@@ -291,7 +373,7 @@ class FileBackend(SortedIndex):
         self._wf.close()
         self._rf.close()
         # free the index now, not when the object goes, so the next open can reuse its memory
-        self._slot_of, self._headers, self._sorted = {}, bytearray(), None
+        self._slot_of, self._headers, self._ids, self._sorted = {}, bytearray(), [], None
         self._offsets, self._lengths = array("Q"), array("I")
 
     def __enter__(self) -> "FileBackend":
@@ -303,11 +385,9 @@ class FileBackend(SortedIndex):
 
 # --- segment record codec -----------------------------------------------------
 
-_LEN = struct.Struct("<H")
 _COUNT = struct.Struct("<I")
 _POINT = struct.Struct("<ddq")
 _POINT_DTYPE = np.dtype([("lon", "<f8"), ("lat", "<f8"), ("t", "<i8")])  # _POINT, as columns
-_PEEK = struct.Struct("<4dqqH")  # _HEADER, then the length of the trajectory id
 
 
 def encode_segment(seg: Segment) -> bytes:
@@ -323,15 +403,6 @@ def encode_segment(seg: Segment) -> bytes:
     for loc in seg.locations:
         parts.append(_POINT.pack(loc.lon, loc.lat, loc.t))
     return b"".join(parts)
-
-
-def peek_header(buf: bytes) -> tuple[float, float, float, float, int, int, str]:
-    """An encoded segment's box corners, st, et and trajectory id, read from
-    its fixed header and the length-prefixed id after it; no point is decoded.
-    """
-    min_lon, min_lat, max_lon, max_lat, st, et, n = _PEEK.unpack_from(buf, 0)
-    traj_id = buf[_PEEK.size : _PEEK.size + n].decode("utf-8")
-    return min_lon, min_lat, max_lon, max_lat, st, et, traj_id
 
 
 def _unpack(buf: bytes) -> tuple[str, str, tuple, bytes]:
@@ -399,9 +470,13 @@ def ingest(
     as ``encode_key`` and ``encode_segment`` would write it. Re-ingesting
     identical data leaves the log unchanged; a changed segment overwrites its
     key. Trajectories with timestamps before the index epoch are rejected and
-    logged.
+    logged. A timestamp whose period number does not fit a key's 32 bits is a
+    ``ValueError`` raised before anything is written.
     """
     tracks = trajectories if isinstance(trajectories, Tracks) else Tracks.of(list(trajectories))
+    last = int(tracks.t.max()) if len(tracks.t) else xz_cfg.epoch
+    if (last - xz_cfg.epoch) // xz_cfg.period_seconds >= 1 << 32:
+        raise ValueError(f"timestamp {last} falls in a period past the last one a key holds")
     early = tracks.t[tracks.offsets[:-1]] < xz_cfg.epoch
     if early.any():
         for k in np.flatnonzero(early).tolist():
@@ -585,16 +660,10 @@ def scan_all(backend: StoreBackend) -> Iterator[Segment]:
 
 
 def load_trajectory(backend: StoreBackend, traj_id: str) -> Trajectory | None:
-    """Reassemble one trajectory from its stored segments.
-
-    Scans the whole store but decodes only the records whose header names
-    ``traj_id``.
+    """Reassemble one trajectory from its stored segments: only the records
+    the index's id column finds for ``traj_id`` are read and decoded.
     """
-    segs = [
-        decode_segment(value)
-        for _, value in backend.scan(*_ALL_KEYS)
-        if peek_header(value)[6] == traj_id
-    ]
+    segs = [decode_segment(value) for value in backend.read(backend.positions_of(traj_id))]
     if not segs:
         return None
     segs.sort(key=lambda s: (s.st, s.sid))

@@ -25,19 +25,30 @@ change from that engine: a candidate's touched dwell weight is summed in
 query-segment order, not in the iteration order of a set of sids, which
 ``PYTHONHASHSEED`` changes. ``irjq`` is the join as it scored before: one
 ``segment_ir`` call per (query segment, candidate) pair of each scan set.
+
+``replay`` is ``FileBackend``'s log replay as one loop over frames, taking
+each value's header and trajectory id in turn; the chunked columnar replay
+must build the same index. ``load_trajectory`` is the lookup that scanned and
+peeked every record; the lookup through the index's id column must return
+the same trajectory or raise the same error. ``write_points_csv`` is the
+``csv.writer`` loop the points CSV was written with; the faster writer must
+write the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from crowdtrace.metric import PointArray, QueryParams, segment_ir, span_weight
 from crowdtrace.model import MBR, WORLD, Location, Segment, SegmentationConfig, TimeRange, Trajectory
 from crowdtrace.query import ALL_LEMMAS, COUNTER_KEYS
-from crowdtrace.store import encode_segment, st_query
+from crowdtrace.store import (
+    _FRAME, _HEADER, _LEN, _LOG_MAGIC, _NO_HEADER, _PEEK, REPLAY_CHUNK, decode_segment, encode_segment, st_query,
+)
 from crowdtrace.xz import XzConfig, XzElement, bin_of, encode_key, sequence_code
 
 
@@ -432,3 +443,72 @@ def irjq(query_set, params, backend, cfg, seg_cfg=None, *, resolution=15, capaci
         for key, n in tally.items():
             counters[key] = counters.get(key, 0) + n
     return results
+
+
+def write_points_csv(trajectories, dest, header: bool = True) -> None:
+    """Write trajectories in the ingest CSV format, a ``csv.writer`` row a point."""
+    writer = csv.writer(dest, lineterminator="\n")
+    if header:
+        writer.writerow(["traj_id", "lon", "lat", "unix_seconds"])
+    for traj in trajectories:
+        for loc in traj.locations:
+            writer.writerow([traj.id, repr(loc.lon), repr(loc.lat), loc.t])
+
+
+def peek_header(buf: bytes) -> tuple[float, float, float, float, int, int, str]:
+    """An encoded segment's box corners, st, et and trajectory id, read from
+    its fixed header and the length-prefixed id after it; no point is decoded."""
+    min_lon, min_lat, max_lon, max_lat, st, et, n = _PEEK.unpack_from(buf, 0)
+    traj_id = buf[_PEEK.size : _PEEK.size + n].decode("utf-8")
+    return min_lon, min_lat, max_lon, max_lat, st, et, traj_id
+
+
+def load_trajectory(backend, traj_id: str) -> Trajectory | None:
+    """Reassemble one trajectory: scan the whole store, decode the records
+    whose header names ``traj_id``, sort them by (st, sid)."""
+    segs = [decode_segment(value) for _, value in backend.scan(b"", b"\xff" * 14)
+            if peek_header(value)[6] == traj_id]
+    if not segs:
+        return None
+    segs.sort(key=lambda s: (s.st, s.sid))
+    return Trajectory(traj_id, [loc for seg in segs for loc in seg.locations])
+
+
+def replay(backend) -> int:
+    """Index every whole frame of an opened ``FileBackend``'s log, one frame
+    at a time; returns the offset just past the last one. Each frame takes
+    the next slot, its value's header (``_NO_HEADER`` when too short) and the
+    raw bytes of its length-prefixed trajectory id (None when too short)."""
+    fd = backend._fd
+    size = os.fstat(fd).st_size
+    if os.pread(fd, len(_LOG_MAGIC), 0) != _LOG_MAGIC:
+        raise ValueError(f"{backend.path} is not a segment log")
+    end = len(_LOG_MAGIC)
+    buf, base = b"", end  # buf holds the log from offset base on
+
+    def have(upto: int) -> None:
+        nonlocal buf, base
+        if upto > base + len(buf):
+            buf, base = os.pread(fd, max(REPLAY_CHUNK, upto - end), end), end
+
+    while end + _FRAME.size <= size:
+        have(end + _FRAME.size)
+        key_len, val_len = _FRAME.unpack_from(buf, end - base)
+        offset = end + _FRAME.size + key_len
+        if offset + val_len > size:
+            break  # torn tail write; ignore the partial frame
+        have(offset + min(val_len, _PEEK.size))
+        backend._slot_of[buf[offset - key_len - base : offset - base]] = len(backend._offsets)
+        head = buf[offset - base : offset + _HEADER.size - base] if val_len >= _HEADER.size else _NO_HEADER
+        traj_id = None
+        if val_len >= _PEEK.size:
+            id_end = offset + _PEEK.size + _LEN.unpack_from(buf, offset + _HEADER.size - base)[0]
+            if id_end <= offset + val_len:
+                have(id_end)
+                traj_id = buf[offset + _PEEK.size - base : id_end - base]
+        backend._headers += head
+        backend._ids.append(traj_id)
+        backend._offsets.append(offset)
+        backend._lengths.append(val_len)
+        end = offset + val_len
+    return end

@@ -5,7 +5,9 @@ per criterion. Every tolerance is pinned here; the reference values come from
 the exhaustive no-index evaluator and from enumeration oracles.
 """
 
+import gc
 import random
+import statistics
 import time
 from contextlib import contextmanager
 
@@ -35,7 +37,6 @@ from crowdtrace import (
 )
 import crowdtrace.join as join_mod
 import crowdtrace.query as query_mod
-from crowdtrace.bench import median_ms
 from crowdtrace.store import expand_mbr, expand_time_range
 from conftest import build_workload, loc
 
@@ -232,16 +233,40 @@ def count_pairs_scored(monkeypatch, run) -> int:
     return pairs
 
 
+def paired_median_ms(fn, other, repeats: int = 5) -> tuple[float, float, object]:
+    """Median wall times of ``fn`` and ``other`` in milliseconds, plus one
+    result of ``fn``. The two are called in turn with the collector held off,
+    so a shift in machine speed or a collection left by earlier tests lands
+    on both sides instead of on one."""
+    times: tuple[list[float], list[float]] = ([], [])
+    result = None
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            for f, spent in zip((fn, other), times):
+                start = time.perf_counter()
+                got = f()
+                spent.append((time.perf_counter() - start) * 1000.0)
+                if f is fn:
+                    result = got
+    finally:
+        if was_enabled:
+            gc.enable()
+    return statistics.median(times[0]), statistics.median(times[1]), result
+
+
 def test_a4_pruning_saves_time_at_scale(monkeypatch):
     with criterion("A4", "pruned engines are no slower than unpruned on 5000 trajectories"):
         backend, xz_cfg, seg_cfg, patient, join_queries = _pruning_benchmark_store()
         params = TABLE_DEFAULTS
 
         counters: dict[str, int] = {}
-        irq_ms, irq_res = median_ms(
-            lambda: irq(patient, params, backend, xz_cfg, seg_cfg, counters=counters)
+        irq_ms, irq_up_ms, irq_res = paired_median_ms(
+            lambda: irq(patient, params, backend, xz_cfg, seg_cfg, counters=counters),
+            lambda: irq_unpruned(patient, params, backend, xz_cfg, seg_cfg),
         )
-        irq_up_ms, _ = median_ms(lambda: irq_unpruned(patient, params, backend, xz_cfg, seg_cfg))
         pruned = sum(counters[k] for k in ("lemma1", "lemma2", "lemma3", "lemma4"))
         assert pruned >= 1
         assert len(irq_res) > 0
@@ -253,11 +278,9 @@ def test_a4_pruning_saves_time_at_scale(monkeypatch):
         assert irq_calls < irq_up_calls, f"irq {irq_calls} vs unpruned {irq_up_calls} pairs scored"
 
         join_counters: dict[str, int] = {}
-        irjq_ms, _ = median_ms(
-            lambda: irjq(join_queries, params, backend, xz_cfg, seg_cfg, counters=join_counters)
-        )
-        irjq_up_ms, _ = median_ms(
-            lambda: irjq_unpruned(join_queries, params, backend, xz_cfg, seg_cfg)
+        irjq_ms, irjq_up_ms, _ = paired_median_ms(
+            lambda: irjq(join_queries, params, backend, xz_cfg, seg_cfg, counters=join_counters),
+            lambda: irjq_unpruned(join_queries, params, backend, xz_cfg, seg_cfg),
         )
         assert join_counters["pairs_removed"] >= 1
         assert irjq_ms <= irjq_up_ms, f"irjq {irjq_ms:.1f}ms vs unpruned {irjq_up_ms:.1f}ms"

@@ -286,3 +286,17 @@ def test_reingest_of_the_same_csv_appends_no_frame(tmp_path, capsys):
     assert code == 0 and out.startswith(f"ingested {frames} segments")
     assert log.stat().st_size == size
     assert len(log_frames(log)) == frames
+
+
+@pytest.mark.parametrize("t, code", [(1_000_000_000_000_000, 2), (2**32 * 86_400, 2), (2**32 * 86_400 - 1, 0)])
+def test_ingest_of_a_timestamp_past_the_key_is_one_line_error(tmp_path, capsys, t, code):
+    points = tmp_path / "points.csv"
+    points.write_text(f"a,116.39,39.9,{t}\n")
+    store = tmp_path / "store"
+    got, out, err = run(["ingest", "--input", str(points), "--store", str(store)], capsys)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+        assert log_frames(store / "segments.log") == []
+    else:
+        assert len(log_frames(store / "segments.log")) == 1

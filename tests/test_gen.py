@@ -1,9 +1,15 @@
 import io
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
 from crowdtrace import (
     GenConfig,
+    Location,
     QueryParams,
     SegmentationConfig,
+    Trajectory,
     exhaustive_irq,
     generate,
     write_labels,
@@ -69,3 +75,30 @@ def test_points_within_region_and_sorted():
         for l in traj.locations:
             assert cfg.region.min_lon - pad <= l.lon <= cfg.region.max_lon + pad
             assert cfg.region.min_lat - pad <= l.lat <= cfg.region.max_lat + pad
+
+
+_ID_CHARS = st.characters(blacklist_categories=("Cs",))  # any text a UTF-8 file can hold
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.text(_ID_CHARS, max_size=8),
+                      st.text(st.sampled_from(',"\r\n a#é '), max_size=6)),
+            st.lists(st.builds(Location,
+                               lon=st.one_of(st.floats(-180.0, 180.0), st.just(-0.0)),
+                               lat=st.one_of(st.floats(-90.0, 90.0), st.just(-0.0)),
+                               t=st.integers(0, 2**63 - 1)),
+                     max_size=5),
+        ),
+        max_size=6,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_write_points_csv_matches_reference(tracks, header):
+    trajectories = [Trajectory(tid, sorted(locs, key=lambda p: p.t)) for tid, locs in tracks if tid and locs]
+    want, got = io.StringIO(), io.StringIO()
+    reference.write_points_csv(trajectories, want, header=header)
+    write_points_csv(trajectories, got, header=header)
+    assert got.getvalue() == want.getvalue()

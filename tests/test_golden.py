@@ -6,10 +6,14 @@ its code assignment was verified exhaustively against pre-order enumeration
 (see test_xz). The store hashes were recorded from the ingest that built a
 ``Location`` per point and a ``Segment`` per stay, before it went columnar.
 Any change that shifts codes, key bytes or record bytes must fail here.
+The query outputs were recorded from the lookup that scanned every record,
+before the index kept trajectory ids.
 """
 
 import hashlib
 import os
+
+import pytest
 
 from crowdtrace import Location, Segment, XzConfig, XzElement, encode_key, sequence_code
 from crowdtrace.cli import main
@@ -83,3 +87,23 @@ def test_pinned_store_files(tmp_path, capsys):
     assert log.stat().st_size == 2_969_593
     assert sha256(log) == "c13d316c8aa5e159418d0b2de08d774f273e25538b63c6da230d5877401b76ca"
     assert sha256(store / "meta.json") == "3c733f88069d9413aaf976abe3df7b4c9a4d1e9f768e5fefd2620f5f0c784506"
+
+
+@pytest.fixture(scope="module")
+def pinned_store(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    points, store = root / "points.csv", root / "store"
+    assert main(["gen", "--seed", "42", "--n-traj", "5000", "--out", str(points)]) == 0
+    assert main(["ingest", "--input", str(points), "--store", str(store)]) == 0
+    return store
+
+
+@pytest.mark.parametrize("traj_id, lines, digest", [
+    ("t00000", 507, "5cdc37bb609e3357259c58509ae3c6de54e498f971ddc483033f45a2daceeb3a"),
+    ("t00001", 7, "73a4ab5551f45ddf8c7ce3e6c5edef36d244e05bbc373d92b0e1795784a381cb"),
+], ids=["t00000", "t00001"])
+def test_pinned_query_output(pinned_store, tmp_path, traj_id, lines, digest):
+    out = tmp_path / "contacts.csv"
+    assert main(["query", "--store", str(pinned_store), "--traj-id", traj_id, "--explain", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == lines
+    assert sha256(out) == digest

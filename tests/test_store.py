@@ -28,9 +28,10 @@ from crowdtrace import (
     storage_segments,
 )
 import crowdtrace.store as store
-from crowdtrace.store import expand_mbr, expand_time_range, peek_header, st_read
+from crowdtrace.store import expand_mbr, expand_time_range, st_read
 from crowdtrace.xz import bin_of, encode_key, st_scan_ranges
 from conftest import loc
+from reference import peek_header
 
 CFG = XzConfig(resolution=10)
 SEG = SegmentationConfig()
@@ -456,6 +457,24 @@ def test_ingest_rejects_pre_epoch_trajectory():
     assert n == 0 and len(backend) == 0
 
 
+# the last timestamp whose period number (epoch 0, one-day periods) fits a key's 32 bits
+LAST_KEYED_T = 2**32 * 86_400 - 1
+
+
+def test_ingest_accepts_the_last_period_a_key_holds():
+    backend, n = make_store([Trajectory("a", [loc(0, 0, LAST_KEYED_T)])])
+    assert n == 1 and len(backend) == 1
+
+
+def test_ingest_refuses_a_period_past_the_key_before_any_put():
+    backend = MemoryBackend()
+    ok = Trajectory("ok", [loc(0, 0, 100), loc(5000, 0, 700)])
+    far = Trajectory("far", [loc(0, 0, LAST_KEYED_T + 1)])
+    with pytest.raises(ValueError, match="period"):
+        ingest([ok, far], CFG, SEG, backend)
+    assert len(backend) == 0
+
+
 def test_storage_segments_split_at_period_boundary():
     cfg = XzConfig(resolution=10, period_len=86_400)
     # a dwell straddling midnight: one stay-point run, two storage segments
@@ -633,11 +652,13 @@ def test_load_trajectory_decodes_only_its_records(monkeypatch):
     trajectories = [Trajectory(f"t{i}", [loc(300.0 * i, 0, 0), loc(300.0 * i + 5000, 0, 700)])
                     for i in range(20)]
     backend, n = make_store(trajectories)
-    decoded = []
+    decoded, read = [], []
     decode = store.decode_segment
     monkeypatch.setattr(store, "decode_segment", lambda v: decoded.append(v) or decode(v))
+    monkeypatch.setattr(backend, "_read", lambda slot: read.append(slot) or MemoryBackend._read(backend, slot))
     assert load_trajectory(backend, "t7") == trajectories[7]
     assert len(decoded) == 2 and n == 40
+    assert len(read) == 2  # the id column finds its records; no other record is read
 
 
 # --- grouping: st_read's columns -------------------------------------------------------------
