@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -257,7 +258,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared by
+    every ``main`` call; nothing in it depends on the environment."""
     parser = argparse.ArgumentParser(
         prog="crowdtrace",
         description="Trajectory contact store: ingest GPS points, query close contacts.",
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="segment, encode and store a points CSV")
     p_ingest.add_argument("--input", required=True, help="points CSV")
-    p_ingest.add_argument("--store", default=_default_store())
+    p_ingest.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")
     p_ingest.add_argument("--resolution", type=int, default=15, help="index quadtree depth")
     p_ingest.add_argument("--period-len", type=int, default=86_400, help="time period seconds")
     p_ingest.add_argument("--shards", type=int, default=1)
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_query = sub.add_parser("query", help="contacts of one trajectory")
-    p_query.add_argument("--store", default=_default_store())
+    p_query.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")
     src = p_query.add_mutually_exclusive_group(required=True)
     src.add_argument("--query-csv", help="points CSV holding the query trajectory")
     src.add_argument("--traj-id", help="id of a stored trajectory to query")
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.set_defaults(func=cmd_query)
 
     p_join = sub.add_parser("join", help="contacts of every trajectory in a query set")
-    p_join.add_argument("--store", default=_default_store())
+    p_join.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")
     p_join.add_argument("--query-csv", required=True, help="points CSV with the query set")
     _add_param_flags(p_join)
     p_join.add_argument("--resolution", type=int, default=15, help="batch index quadtree depth")
@@ -318,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "store", "") is None:
+        args.store = _default_store()
     try:
         return args.func(args)
     except CliError as exc:

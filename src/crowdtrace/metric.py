@@ -6,6 +6,12 @@ both dimensions, blended by ``lam``. A query segment scores the mean best
 closeness of its points, and a whole query trajectory scores the sum of its
 segment scores weighted by each segment's share of total dwell time.
 
+``segment_ir`` scores one segment against one candidate set over the dense
+matrix of point pairs. ``segment_irs``, which the query engines call, scores
+it against many candidate runs at once, bit for bit equal: it computes
+distance and score only on the pairs within ``theta_t``, since every other
+pair scores 0.
+
 ``exhaustive_irq`` evaluates the metric over full location lists with no
 index and no pruning; the query engines are tested against it.
 """
@@ -155,27 +161,59 @@ def segment_ir(
 SCORE_CELLS = 16_384  # matrix cells one block of segment_irs holds, unless one run alone is larger
 
 
+def _near_closeness(
+    seg_pts: PointArray, pts: PointArray, at: np.ndarray, near: np.ndarray, dt: np.ndarray,
+    params: QueryParams,
+) -> np.ndarray:
+    """``_closeness`` of the cells ``near`` (flat indices into the matrix of
+    ``seg_pts`` against ``pts[at]``), whose time gaps ``dt`` are within
+    ``theta_t``. The same ufuncs run on the same operands in the same order
+    as in ``_pairwise_dist_m`` and ``_closeness``, so each value is the
+    dense matrix's, bit for bit."""
+    rows = near // at.size
+    cols = at[near - rows * at.size]
+    dphi = pts.lat_rad[cols] - seg_pts.lat_rad[rows]
+    dlam = np.radians(pts.lon_deg[cols] - seg_pts.lon_deg[rows])
+    h = (
+        np.sin(dphi / 2.0) ** 2
+        + seg_pts.cos_lat[rows] * pts.cos_lat[cols] * np.sin(dlam / 2.0) ** 2
+    )
+    dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    score = params.lam * np.exp(-dist / params.theta_d) + (1.0 - params.lam) * np.exp(
+        -dt / params.theta_t
+    )
+    return np.where(dist <= params.theta_d, score, 0.0)
+
+
 def segment_irs(
     seg_pts: PointArray, pts: PointArray, starts: np.ndarray, ends: np.ndarray, params: QueryParams
 ) -> np.ndarray:
     """``segment_ir`` of one segment's points against each run
-    ``pts[starts[i]:ends[i]]``, bit for bit: whole runs are gathered into
-    blocks of at most ``SCORE_CELLS`` cells of ``_closeness``, each run's row
-    maxima taken by ``np.maximum.reduceat`` and summed along the last axis of
-    a contiguous (runs x segment points) array, as ``np.sum`` sums one row."""
-    lens = ends - starts
+    ``pts[starts[i]:ends[i]]``, bit for bit. Whole runs are gathered into
+    blocks of at most ``SCORE_CELLS`` (segment point, run point) cells. A
+    block takes the time gap of every cell, but computes distance and score
+    only on the cells within ``theta_t`` (``_near_closeness``) and leaves the
+    others 0, as ``_closeness`` does. Each run's row maxima are taken by
+    ``np.maximum.reduceat`` and summed along the last axis of a contiguous
+    (runs x segment points) array, as ``np.sum`` sums one row. An empty run
+    scores 0."""
+    out = np.zeros(len(starts))
+    live = np.flatnonzero(ends > starts)
+    lens = ends[live] - starts[live]
     stops = np.cumsum(lens)
     firsts = stops - lens  # where each run begins among the gathered points
-    gather = np.arange(stops[-1] if lens.size else 0) + np.repeat(starts - firsts, lens)
+    gather = np.arange(stops[-1] if lens.size else 0) + np.repeat(starts[live] - firsts, lens)
     cap = SCORE_CELLS // seg_pts.size
-    out = np.empty(lens.size)
     i = 0
     while i < lens.size:
         j = max(i + 1, int(np.searchsorted(stops, firsts[i] + cap, side="right")))
         at = gather[firsts[i] : stops[j - 1]]
-        block = PointArray(pts.lon_deg[at], pts.lat_rad[at], pts.t[at])
-        best = np.maximum.reduceat(_closeness(seg_pts, block, params), firsts[i:j] - firsts[i], axis=1)
-        out[i:j] = np.ascontiguousarray(best.T).sum(axis=1) / seg_pts.size
+        dt = np.abs(seg_pts.t[:, None] - pts.t[at][None, :]).ravel()
+        near = np.flatnonzero(dt <= params.theta_t)
+        block = np.zeros(dt.size)
+        block[near] = _near_closeness(seg_pts, pts, at, near, dt[near], params)
+        best = np.maximum.reduceat(block.reshape(seg_pts.size, at.size), firsts[i:j] - firsts[i], axis=1)
+        out[live[i:j]] = np.ascontiguousarray(best.T).sum(axis=1) / seg_pts.size
         i = j
     return out
 

@@ -189,6 +189,18 @@ def test_store_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envstore" / "segments.log").exists()
 
 
+def test_store_dir_from_environment_is_read_by_each_call(tmp_path, capsys, monkeypatch):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    for name in ("first", "second"):
+        monkeypatch.setenv("CONTACT_STORE_DIR", str(tmp_path / name))
+        assert run(["ingest", "--input", str(points)], capsys)[0] == 0
+        assert (tmp_path / name / "segments.log").exists()
+    monkeypatch.setenv("CONTACT_STORE_DIR", str(tmp_path / "none"))
+    code, _, err = run(["query", "--traj-id", "alpha"], capsys)
+    assert code == 2 and "none" in err
+
+
 def test_ingest_refuses_a_different_configuration(tmp_path, capsys):
     points = tmp_path / "points.csv"
     run(["gen", "--seed", "5", "--n-traj", "40", "--out", str(points)], capsys)

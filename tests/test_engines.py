@@ -9,6 +9,7 @@ the scoring kernel small enough to put block edges everywhere.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -102,44 +103,71 @@ def _same_irjq(query_set, params, backend, cfg, budgets=BUDGETS):
 # --- the scoring kernel -------------------------------------------------------------------
 
 
+def _pool_point(rng, seg_xyt, shift):
+    """A candidate point: anywhere near the segment, or within a centimetre
+    of ``theta_d`` from one of its points with a time gap of exactly
+    ``theta_t`` or one second either side; ``shift`` seconds later."""
+    if rng.randrange(2):
+        return loc(rng.uniform(-120, 120), rng.uniform(-120, 120), 1_000 + rng.randrange(-200, 600) + shift)
+    x, y, t = rng.choice(seg_xyt)
+    angle, r = rng.uniform(0, 2 * math.pi), P.theta_d + rng.uniform(-0.01, 0.01)
+    dt = rng.choice((-1, 1)) * (int(P.theta_t) + rng.choice((-1, 0, 0, 1)))
+    return loc(x + r * math.cos(angle), y + r * math.sin(angle), t + dt + shift)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_seg=st.integers(1, 40),
-    run_lens=st.lists(st.integers(1, 30), min_size=0, max_size=12),
+    run_lens=st.lists(st.integers(0, 30), min_size=0, max_size=12),
     budget=st.sampled_from([1, 2, 31, 257, 16_384]),
 )
 def test_segment_irs_equals_segment_ir_per_run(seed, n_seg, run_lens, budget):
     rng = random.Random(seed)
-    seg = Segment.build("q#0", "q", [loc(rng.uniform(-80, 80), rng.uniform(-80, 80), 1_000 + 10 * k)
-                                     for k in range(n_seg)])
-    # runs cut from a shuffled pool, so a run need not start where the last one ended
-    pool = [loc(rng.uniform(-120, 120), rng.uniform(-120, 120), 1_000 + rng.randrange(-200, 600))
-            for _ in range(sum(run_lens) + len(run_lens))]
-    starts, ends, runs, pos = [], [], [], 0
+    seg_xyt = [(rng.uniform(-80, 80), rng.uniform(-80, 80), 1_000 + 10 * k) for k in range(n_seg)]
+    seg = Segment.build("q#0", "q", [loc(*p) for p in seg_xyt])
+    # runs cut from one pool with gaps between some of them; a quarter of the
+    # runs lie wholly outside theta_t, so small budgets give blocks with no cell in reach
+    pool, starts, ends = [], [], []
     for n in run_lens:
-        pos += rng.randrange(0, 2)
-        starts.append(pos)
-        ends.append(pos + n)
-        runs.append(pool[pos : pos + n])
-        pos += n
+        pool.extend(_pool_point(rng, seg_xyt, 0) for _ in range(rng.randrange(0, 2)))
+        shift = 10_000 if rng.randrange(4) == 0 else 0
+        starts.append(len(pool))
+        pool.extend(_pool_point(rng, seg_xyt, shift) for _ in range(n))
+        ends.append(len(pool))
+    runs = [pool[s:e] for s, e in zip(starts, ends)]
     order = rng.sample(range(len(runs)), len(runs))  # runs in any order
-    cells = []
-    closeness = metric._closeness
+    blocks, scored = [], 0
+    near_closeness = metric._near_closeness
 
-    def measured(seg_pts, block, params):
-        cells.append(seg_pts.size * block.size)
-        return closeness(seg_pts, block, params)
+    def measured(seg_pts, pts, at, near, dt, params):
+        nonlocal scored
+        blocks.append(tuple(at.tolist()))
+        scored += near.size
+        return near_closeness(seg_pts, pts, at, near, dt, params)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(metric, "SCORE_CELLS", budget)
-        m.setattr(metric, "_closeness", measured)
+        m.setattr(metric, "_near_closeness", measured)
         got = segment_irs(PointArray.of(seg.locations), PointArray.of(pool),
                           np.array(starts, np.intp)[order], np.array(ends, np.intp)[order], P)
     assert got.tolist() == [segment_ir(seg, runs[i], P) for i in order]
-    # no block is over the budget, unless it holds one run alone
-    assert all(c <= max(budget, n_seg * max(run_lens)) for c in cells)
-    assert sum(cells) == n_seg * sum(run_lens)
+    # no block is over the budget, unless it holds one run alone; each run point is in one block
+    alone = {tuple(range(s, e)) for s, e in zip(starts, ends)}
+    assert all(n_seg * len(at) <= budget or at in alone for at in blocks)
+    assert sorted(i for at in blocks for i in at) == [i for s, e in zip(starts, ends) for i in range(s, e)]
+    # distance and score are computed on exactly the cells within theta_t
+    assert scored == sum(abs(l.t - v.t) <= P.theta_t for run in runs for l in seg.locations for v in run)
+
+
+@pytest.mark.parametrize("spans", [[(0, 1), (1, 1), (1, 2)], [(0, 1), (1, 2), (2, 2)], [(1, 1)]])
+def test_segment_irs_scores_an_empty_run_zero(spans):
+    seg = Segment.build("q#0", "q", [loc(0, 0, 1_000), loc(5, 0, 1_030)])
+    pool = [loc(3, 4, 1_010), loc(-2, 1, 1_020)]
+    starts, ends = (np.array(col, np.intp) for col in zip(*spans))
+    got = segment_irs(PointArray.of(seg.locations), PointArray.of(pool), starts, ends, P)
+    # segment_ir scores an empty candidate set 0
+    assert got.tolist() == [segment_ir(seg, pool[s:e], P) for s, e in spans]
 
 
 # --- contacts across the antimeridian -----------------------------------------------
