@@ -1,16 +1,17 @@
-"""Ordered key-value storage of encoded segments, and the refined range query.
+"""Ordered key-value storage of encoded segments, and the exact window query.
 
 Two interchangeable backends satisfy the same contract: ``put(key, value)``,
 ``scan(low, high)`` yielding keys in strict byte order within [low, high),
 ``refine``, the key-order positions of the records in key ranges whose
 segment header meets a window, ``positions_of``, those of the records of one
 trajectory, and ``read``, the values at such positions. Both are one
-``SortedIndex``: sorted keys over slots, with each slot's fixed 48-byte header
-(box, st, et) kept as numpy columns and its trajectory id in a column beside
-them. They differ only in where values live: ``MemoryBackend`` holds them in a
-list; ``FileBackend`` keeps an offset and a length into a single-file
-append-only log, replayed on open a chunk of frames at a time, which appends
-nothing for a put of the bytes a key already holds.
+``SortedIndex``: sorted keys over slots, each slot's fixed 48-byte header
+(box, st, et) and trajectory id kept beside it, and both also kept in key
+order, as numpy columns, rebuilt by the first read after a new key and
+patched in place by an overwrite. They differ only in where values live: ``MemoryBackend`` holds them in a list; ``FileBackend`` keeps an offset
+and a length into a single-file append-only log, replayed on open a chunk of
+frames at a time, which appends nothing for a put of the bytes a key already
+holds.
 
 ``ingest`` hands trajectories, as lon/lat/t columns (``Tracks``), to the
 columnar kernel of ``model`` in batches of about ``BATCH_POINTS`` points; one
@@ -19,10 +20,12 @@ boundaries and takes their boxes. Each segment's key and record are written
 from those columns, with every cell code of a batch computed at once, and
 segments are put in input order. No ``Location`` or ``Segment`` is built.
 
-``st_query`` expands a window by the spatial/temporal reach, plans key ranges
-with the curve index, then refines every record in them with the exact box
-and time tests, in one vectorised mask over the header columns, so its result
-equals a full linear scan. Only records that pass are read and decoded.
+``st_query`` expands a window by the spatial/temporal reach. A key starts
+with its shard and period, so the records of the window's periods are one
+contiguous span of keys a shard, and the exact box and time tests run over
+those spans' header columns directly, without planning curve ranges within
+them. That gives the result of a full linear scan, and only records that
+pass are read and decoded.
 ``st_read`` does the same for many windows at once, reading each record once
 and decoding its points straight into numpy columns, one run per trajectory.
 """
@@ -37,11 +40,11 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-# filter_noise, segment and encode_key stay bound here: perfbench's tracer wraps them in this module
+# filter_noise, segment, encode_key and st_scan_ranges stay bound here: perfbench's tracer wraps them in this module
 from .model import (
     BATCH_POINTS,
     EARTH_RADIUS_M,
@@ -58,7 +61,17 @@ from .model import (
     segment,
     segment_batch,
 )
-from .xz import KEY_HEAD, ScanRange, XzConfig, bins_of, encode_key, shard_of, st_scan_ranges, xz2_codes
+from .xz import (
+    KEY_HEAD,
+    ScanRange,
+    XzConfig,
+    bins_of,
+    encode_key,
+    period_spans,
+    shard_of,
+    st_scan_ranges,
+    xz2_codes,
+)
 
 log = logging.getLogger(__name__)
 
@@ -97,79 +110,108 @@ def _id_field(value: bytes) -> bytes | None:
     return value[_PEEK.size : end] if len(value) >= end else None
 
 
+class _KeyOrder(NamedTuple):
+    """The index in key order: the sorted keys, their slots, each slot's
+    place among them, each header field as one contiguous column
+    (``_HEADER_DTYPE`` order) and the trajectory ids (``_id_field``, an
+    object column)."""
+
+    keys: list[bytes]
+    slots: np.ndarray
+    places: np.ndarray  # by slot
+    columns: tuple[np.ndarray, ...]
+    ids: np.ndarray
+
+
+def _meets(field: Callable[[int], np.ndarray], w: MBR, t: TimeRange) -> np.ndarray:
+    """The tests of ``MBR.intersects`` and ``TimeRange.intersects`` as one
+    mask, where ``field(k)`` is the k-th header field (``_HEADER_DTYPE``
+    order) of the records tested, taken a field at a time so temporaries
+    stay small. float64 and int64 compare exactly against the window's
+    floats and ints, and stored times fit int64, so clamping the window's
+    times to it changes no outcome; a NaN box meets no window."""
+    keep = field(0) <= w.max_lon
+    keep &= w.min_lon <= field(2)
+    keep &= field(1) <= w.max_lat
+    keep &= w.min_lat <= field(3)
+    keep &= field(4) <= min(t.end, _INT64_MAX)
+    keep &= max(t.start, _INT64_MIN) <= field(5)
+    return keep
+
+
 class SortedIndex:
     """The sorted key index both backends share.
 
     A key owns one slot for life; a new key takes the next one. A put to the
     key replaces the slot's value and the header bytes and trajectory id kept
-    for it, so the headers form numpy columns by slot; a subclass says where a
-    slot's value lives (``_read``). The sorted keys and their slots are
-    rebuilt by the first scan after a new key; headers and ids are read by
-    slot, so no scan sees a stale one. Scans must not interleave with writes.
+    for it; a subclass says where a slot's value lives (``_read``). Readers
+    see the index in key order (``_order``), rebuilt after a new key; a put
+    to a key it holds writes the new header and id into its key-order
+    columns too, so no reader sees a stale one. Scans must not interleave
+    with writes.
     """
 
     def __init__(self) -> None:
         self._slot_of: dict[bytes, int] = {}
         self._headers = bytearray()  # _HEADER.size bytes a slot
         self._ids: list[bytes | None] = []  # by slot: ``_id_field`` of the value
-        self._sorted: tuple[list[bytes], np.ndarray] | None = None
+        self._sorted: _KeyOrder | None = None  # gone with a new key
 
     def _record(self, key: bytes, value: bytes) -> int:
         """The key's slot, now holding the header and id of ``value``."""
         head = value[: _HEADER.size] if len(value) >= _HEADER.size else _NO_HEADER
+        traj_id = _id_field(value)
         slot = self._slot_of.get(key)
         if slot is None:
             slot = self._slot_of[key] = len(self._ids)
             self._headers += head
-            self._ids.append(_id_field(value))
+            self._ids.append(traj_id)
             self._sorted = None
-        else:
-            self._headers[slot * _HEADER.size : (slot + 1) * _HEADER.size] = head
-            self._ids[slot] = _id_field(value)
+            return slot
+        self._headers[slot * _HEADER.size : (slot + 1) * _HEADER.size] = head
+        self._ids[slot] = traj_id
+        order = self._sorted
+        if order is not None:  # no key moved: patch the key-order columns
+            at = order.places[slot]
+            for column, field in zip(order.columns, _HEADER.unpack(head)):
+                column[at] = field
+            order.ids[at] = traj_id
         return slot
 
     def _read(self, slot: int) -> bytes:
         raise NotImplementedError
 
-    def _order(self) -> tuple[list[bytes], np.ndarray]:
-        """The keys in byte order and their slots."""
+    def _order(self) -> _KeyOrder:
+        """The index in key order, rebuilt if a new key came."""
         order = self._sorted
         if order is None:  # readers racing here each build the same, whole tuple
             keys = sorted(self._slot_of)
             slots = np.fromiter(map(self._slot_of.__getitem__, keys), np.intp, len(keys))
-            order = self._sorted = (keys, slots)
+            places = np.empty(len(self._ids), np.intp)  # a slot no key owns (a replayed stale frame's) is never read
+            places[slots] = np.arange(len(keys))
+            heads = np.frombuffer(self._headers, _HEADER_DTYPE)  # a view: gone before the next put
+            columns = tuple(heads[name][slots] for name in _HEADER_DTYPE.names)  # a field at a time is quicker
+            order = self._sorted = _KeyOrder(keys, slots, places, columns, np.array(self._ids, object)[slots])
         return order
 
     def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]:
         """(key, value) of every key in [low, high), in byte order."""
-        keys, slots = self._order()
+        keys, slots = self._order()[:2]
         lo, hi = bisect_left(keys, low), bisect_left(keys, high)
         yield from zip(keys[lo:hi], map(self._read, slots[lo:hi].tolist()))
 
     def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> np.ndarray:
         """The key-order positions of the records in the key ranges whose
         header box intersects ``w`` and whose [st, et] overlaps ``t``, range
-        by range; ``read`` takes their values.
-
-        These are the tests of ``MBR.intersects`` and ``TimeRange.intersects``
-        in one mask over the header columns: float64 and int64 compare exactly
-        against the window's floats and ints, and stored times fit int64, so
-        clamping the window's times to it changes no outcome.
-        """
-        keys, slots = self._order()
-        bounds = np.array([bisect_left(keys, b) for r in ranges for b in (r.low, r.high)], np.intp)
-        lo, lens = bounds[0::2], bounds[1::2] - bounds[0::2]
-        ends = np.cumsum(lens)
-        at = np.arange(ends[-1] if lens.size else 0) + np.repeat(lo - ends + lens, lens)
-        picked = slots[at]
-        heads = np.frombuffer(self._headers, _HEADER_DTYPE)  # a view: gone before the next put
-        keep = heads["min_lon"][picked] <= w.max_lon  # a field at a time keeps temporaries small
-        keep &= w.min_lon <= heads["max_lon"][picked]
-        keep &= heads["min_lat"][picked] <= w.max_lat
-        keep &= w.min_lat <= heads["max_lat"][picked]
-        keep &= heads["st"][picked] <= min(t.end, _INT64_MAX)
-        keep &= max(t.start, _INT64_MIN) <= heads["et"][picked]
-        return at[keep]
+        by range: ``_meets`` over contiguous slices of the key-order header
+        columns, each found by two bisects; ``read`` takes their values."""
+        order = self._order()
+        keys, columns = order.keys, order.columns
+        found = []
+        for r in ranges:
+            lo, hi = bisect_left(keys, r.low), bisect_left(keys, r.high)
+            found.append(lo + np.flatnonzero(_meets(lambda k: columns[k][lo:hi], w, t)))
+        return np.concatenate(found) if found else np.empty(0, np.intp)
 
     def positions_of(self, traj_id: str) -> np.ndarray:
         """The key-order positions of the records whose value names trajectory
@@ -178,14 +220,14 @@ class SortedIndex:
             raw = traj_id.encode("utf-8")
         except UnicodeEncodeError:  # not text any record could name
             return np.empty(0, np.intp)
-        slots = self._order()[1]
         # against a 0-d object array: bare bytes would become numpy's 'S' type, which drops trailing NULs
-        return np.flatnonzero(np.array(self._ids, object)[slots] == np.array(raw, object))
+        return np.flatnonzero(self._order().ids == np.array(raw, object))
 
     def read(self, positions: np.ndarray) -> Iterator[bytes]:
-        """The values at key-order positions from ``refine``, made since the
-        last new key; each is read as the iterator reaches it."""
-        return map(self._read, self._order()[1][positions].tolist())
+        """The values at key-order positions from ``refine`` or
+        ``positions_of``, made since the last new key; each is read as the
+        iterator reaches it."""
+        return map(self._read, self._order().slots[positions].tolist())
 
     def __len__(self) -> int:
         return len(self._slot_of)
@@ -361,7 +403,7 @@ class FileBackend(SortedIndex):
         _put_slot(self._offsets, slot, offset)
         _put_slot(self._lengths, slot, len(value))
 
-    def _order(self) -> tuple[list[bytes], np.ndarray]:
+    def _order(self) -> _KeyOrder:
         self._wf.flush()  # values are read back from the file
         return super()._order()
 
@@ -576,10 +618,19 @@ def _window_positions(
     window: MBR, tr: TimeRange, theta_d: float, theta_t: float, backend: StoreBackend, cfg: XzConfig
 ) -> np.ndarray:
     """Key-order positions of the records meeting the window and time range
-    grown by the reach: each box of ``expand_boxes`` planned and refined."""
+    grown by the reach.
+
+    A row key starts with its shard and period, so the records of the grown
+    range's periods are one contiguous span of keys a shard
+    (``period_spans``), and the header tests run over all of them
+    (``refine``), once a box of ``expand_boxes``. The curve ranges
+    ``st_scan_ranges`` would plan lie within those spans, so on a store
+    ``ingest`` wrote this keeps exactly the records they would keep: every
+    record whose header meets the grown window.
+    """
     t = expand_time_range(tr, theta_t)
-    boxes = expand_boxes(window, theta_d)
-    return np.unique(np.concatenate([backend.refine(st_scan_ranges(w, t, cfg), w, t) for w in boxes]))
+    spans = period_spans(t, cfg)
+    return np.unique(np.concatenate([backend.refine(spans, w, t) for w in expand_boxes(window, theta_d)]))
 
 
 def st_query(
@@ -591,11 +642,10 @@ def st_query(
     cfg: XzConfig,
 ) -> list[Segment]:
     """All stored segments intersecting the window and time range, each
-    expanded by the reach (across the antimeridian too). Exact: the records
-    of the planned scan ranges are refined by the true box and time-overlap
-    tests over the backend's header columns (``refine``), and only the
-    survivors are read and decoded, in key order; the first copy of a sid
-    wins. Sorted by sid.
+    expanded by the reach (across the antimeridian too). Exact: the true box
+    and time-overlap tests run over the backend's header columns, on every
+    record of the window's periods (``_window_positions``). Only the survivors are read and decoded, in
+    key order; the first copy of a sid wins. Sorted by sid.
     """
     found: dict[str, Segment] = {}
     for value in backend.read(_window_positions(window, tr, theta_d, theta_t, backend, cfg)):

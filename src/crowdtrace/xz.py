@@ -86,6 +86,7 @@ class XzElement:
 
 
 KEY_HEAD = struct.Struct(">BIQ")  # a row key's shard byte, period number and cell code; the sid follows
+LAST_PERIOD = 2**32 - 1  # the largest period number a key holds
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,25 +299,43 @@ def spatial_scan_ranges(window: MBR, cfg: XzConfig) -> list[tuple[int, int]]:
     return merged
 
 
-def st_scan_ranges(window: MBR, tr: TimeRange, cfg: XzConfig) -> list[ScanRange]:
-    """Key scan ranges for a window and time range, across shards and periods.
-
-    Includes one period before the range's start: segments are keyed by the
-    period of their start time, and a span may reach into the next period.
-    """
-    spatial = spatial_scan_ranges(window, cfg)
-    if not spatial or tr.end < cfg.epoch:
-        return []
+def _periods(tr: TimeRange, cfg: XzConfig) -> range:
+    """The periods whose keys may hold a segment meeting ``tr``: one before
+    the range's start, as segments are keyed by the period of their start
+    time and a span may reach into the next period, through the period of
+    its end, clamped to those a key holds; none when ``tr`` ends before the
+    epoch."""
+    if tr.end < cfg.epoch:
+        return range(0)
     first = max(0, bin_of(max(tr.start, cfg.epoch), cfg) - 1)
-    last = bin_of(tr.end, cfg)
+    return range(first, min(bin_of(tr.end, cfg), LAST_PERIOD) + 1)
+
+
+def st_scan_ranges(window: MBR, tr: TimeRange, cfg: XzConfig) -> list[ScanRange]:
+    """Key scan ranges for a window and time range, across shards and the
+    periods of ``_periods``."""
+    spatial, periods = spatial_scan_ranges(window, cfg), _periods(tr, cfg)
     ranges = [
         ScanRange(
             low=KEY_HEAD.pack(shard, b, lo),
             high=KEY_HEAD.pack(shard, b, hi),
         )
         for shard in range(cfg.num_shards)
-        for b in range(first, last + 1)
+        for b in periods
         for lo, hi in spatial
     ]
     ranges.sort(key=lambda r: r.low)
     return ranges
+
+
+def period_spans(tr: TimeRange, cfg: XzConfig) -> list[ScanRange]:
+    """One key range a shard over every cell code of the periods of
+    ``_periods``, so it holds every range ``st_scan_ranges`` plans for any
+    window and ``tr``. A key starts with its shard and period, so each is
+    one contiguous span of the sorted keys."""
+    periods = _periods(tr, cfg)
+    if not periods:
+        return []
+    top = cfg.total_elements()
+    return [ScanRange(KEY_HEAD.pack(shard, periods[0], 0), KEY_HEAD.pack(shard, periods[-1], top))
+            for shard in range(cfg.num_shards)]

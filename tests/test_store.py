@@ -29,7 +29,7 @@ from crowdtrace import (
 )
 import crowdtrace.store as store
 from crowdtrace.store import expand_mbr, expand_time_range, st_read
-from crowdtrace.xz import bin_of, encode_key, st_scan_ranges
+from crowdtrace.xz import KEY_HEAD, bin_of, encode_key, period_spans, st_scan_ranges
 from conftest import loc
 from reference import peek_header
 
@@ -266,14 +266,19 @@ def _segment_value(i: int, east: float = 0.0, t0: int = 100) -> bytes:
 
 def assert_header_columns(backend, want: dict[bytes, bytes]):
     """The backend holds ``want``, and its header columns are the header of
-    every stored value, in key order, to the bit (so a -0.0 corner stays -0.0)."""
-    keys, slots = backend._order()
-    heads = np.frombuffer(backend._headers, store._HEADER_DTYPE)[slots]
+    every stored value, in key order, to the bit (so a -0.0 corner stays -0.0),
+    both by slot and as the key-ordered columns the window tests read."""
+    order = backend._order()
+    heads = np.frombuffer(backend._headers, store._HEADER_DTYPE)[order.slots]
     stored = list(backend.scan(b"", b"\xff" * 64))
     assert stored == sorted(want.items())
-    assert keys == [k for k, _ in stored]
+    assert order.keys == [k for k, _ in stored]
     assert [tuple(h) for h in heads.tolist()] == [peek_header(v)[:6] for _, v in stored]
     assert heads.tobytes() == b"".join(v[: store._HEADER.size] for _, v in stored)
+    columns = np.empty(len(stored), store._HEADER_DTYPE)
+    for name, column in zip(store._HEADER_DTYPE.names, order.columns):
+        columns[name] = column
+    assert columns.tobytes() == heads.tobytes()
 
 
 def _open(kind, tmp_path):
@@ -414,6 +419,136 @@ def test_st_query_backends_agree_with_a_decode_everything_scan(segs, windows):
             want = _decode_everything(mem, w, tr)  # no reach: window edges meet box edges
             assert st_query(w, tr, 0.0, 0.0, mem, cfg) == want
             assert st_query(w, tr, 0.0, 0.0, disk, cfg) == want
+
+
+# --- the window's period spans, against the curve ranges planned within them -------------
+
+
+def _positions_by_path(w, tr, theta_d, theta_t, backend, cfg):
+    """``_window_positions``, which tests every record of the window's period
+    spans, and the records the curve ranges planned for each grown box keep."""
+    t = expand_time_range(tr, theta_t)
+    planned = [backend.refine(st_scan_ranges(box, t, cfg), box, t) for box in store.expand_boxes(w, theta_d)]
+    return [store._window_positions(w, tr, theta_d, theta_t, backend, cfg).tolist(),
+            np.unique(np.concatenate(planned)).tolist()]
+
+
+def _header_scan(backend, w, tr, theta_d, theta_t):
+    """The key-order positions of every record whose header meets the grown
+    window: the header tests, one record at a time, over the whole store."""
+    boxes, t = store.expand_boxes(w, theta_d), expand_time_range(tr, theta_t)
+    found = []
+    for at, (_, value) in enumerate(backend.scan(*store._ALL_KEYS)):
+        if len(value) >= store._HEADER.size:
+            min_lon, min_lat, max_lon, max_lat, st_, et = store._HEADER.unpack_from(value)
+            box = MBR(min_lon, min_lat, max_lon, max_lat)
+            if any(box.intersects(b) for b in boxes) and TimeRange(st_, et).intersects(t):
+                found.append(at)
+    return found
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_window_query_never_serves_an_overwritten_box(tmp_path, kind):
+    cfg = XzConfig(resolution=10, period_len=3600)
+    old = Segment.build("m#0", "m", [loc(0, 0, 100), loc(10, 0, 160)])
+    moved = Segment.build("m#0", "m", [loc(200, 0, 100), loc(210, 0, 160)])
+    key = encode_key(old, cfg).packed()
+    assert encode_key(moved, cfg).packed() == key  # a store ingest could write: the key still covers the box
+    backend = _open(kind, tmp_path)
+    for i in range(1, 6):
+        seg = Segment.build(f"n{i}#0", f"n{i}", [loc(-500.0 * i, 0, 100), loc(-500.0 * i, 10, 160)])
+        backend.put(encode_key(seg, cfg).packed(), encode_segment(seg))
+    backend.put(key, encode_segment(old))
+    tr = TimeRange(100, 160)
+
+    def sids(box, backend=backend):
+        got = st_query(box, tr, 0.0, 0.0, backend, cfg)
+        paths = _positions_by_path(box, tr, 0.0, 0.0, backend, cfg)
+        assert paths[0] == paths[1] == _header_scan(backend, box, tr, 0.0, 0.0)
+        return {s.sid: s for s in got}
+
+    assert sids(old.mbr)["m#0"] == old  # the key-ordered columns now hold the old box
+    order = backend._order()
+    backend.put(key, encode_segment(moved))
+    assert backend._order() is order  # patched in place: no key moved, so nothing is rebuilt
+    assert sids(moved.mbr)["m#0"] == moved
+    assert "m#0" not in sids(old.mbr)
+    late = Segment.build("z#0", "z", [loc(900, 0, 120), loc(905, 0, 150)])
+    assert "z#0" not in sids(late.mbr)
+    backend.put(encode_key(late, cfg).packed(), encode_segment(late))  # a new key between two reads
+    assert sids(late.mbr)["z#0"] == late
+    if kind == "file":
+        backend.close()
+        with FileBackend(str(tmp_path / "segments.log")) as reopened:
+            assert sids(moved.mbr, reopened)["m#0"] == moved
+            assert "m#0" not in sids(old.mbr, reopened)
+            assert sids(late.mbr, reopened)["z#0"] == late
+            reopened.put(key, encode_segment(old))  # over a replayed index, which holds a stale frame's slot
+            assert sids(old.mbr, reopened)["m#0"] == old
+            assert "m#0" not in sids(moved.mbr, reopened)
+
+
+def test_window_past_the_last_period_a_key_holds():
+    cfg = XzConfig(resolution=10, period_len=3600)
+    seg = Segment.build("a#0", "a", [loc(0, 0, 100), loc(10, 0, 160)])
+    backend = _put_all([seg], cfg)
+    beyond = 3600 * 2**32  # the first second of a period no key holds
+    assert st_query(seg.mbr, TimeRange(0, beyond + 5), 0.0, 0.0, backend, cfg) == [seg]
+    assert st_query(seg.mbr, TimeRange(beyond, beyond + 5), 0.0, 0.0, backend, cfg) == []
+    last = Segment.build("b#0", "b", [loc(0, 0, beyond - 60), loc(10, 0, beyond - 1)])
+    backend.put(encode_key(last, cfg).packed(), encode_segment(last))
+    near = TimeRange(beyond - 2 * 3600, beyond + 5)
+    # both the planner and the period spans stop at the last period a key holds
+    assert {KEY_HEAD.unpack_from(r.low)[1] for r in st_scan_ranges(seg.mbr, near, cfg)} == {2**32 - 3, 2**32 - 2, 2**32 - 1}
+    assert [KEY_HEAD.unpack_from(r.high)[1] for r in period_spans(near, cfg)] == [2**32 - 1]
+    assert st_scan_ranges(seg.mbr, TimeRange(beyond + 3600, beyond + 7200), cfg) == []
+    assert period_spans(TimeRange(beyond + 3600, beyond + 7200), cfg) == []
+    found = _positions_by_path(seg.mbr, near, 0.0, 0.0, backend, cfg)
+    assert found[0] == found[1] == _header_scan(backend, seg.mbr, near, 0.0, 0.0) == [1]
+    assert st_query(seg.mbr, near, 0.0, 0.0, backend, cfg) == [last]
+
+
+_EPOCH = 1_000
+_LONS = st.sampled_from([-180.0, -179.9999, -179.99, -0.001, 0.0, 0.002, 179.99, 179.9999, 180.0])
+_LATS = st.sampled_from([-90.0, -85.0, -84.9999, -0.001, 0.0, 0.002, 84.9999, 85.0, 89.99])
+
+
+@st.composite
+def _spread_segments(draw):
+    """Segments over several periods, near the antimeridian, the poles and
+    the origin, each within one period of an epoch-shifted config."""
+    segs = []
+    for i in range(draw(st.integers(0, 14))):
+        period = draw(st.integers(0, 3))
+        times = sorted(draw(st.lists(st.integers(0, 3599), min_size=1, max_size=3)))
+        locs = [Location(draw(_LONS), draw(_LATS), _EPOCH + 3600 * period + t) for t in times]
+        sid = f"{draw(st.sampled_from('abc'))}#{i % 3}"  # a sid may recur: stale copies
+        segs.append(Segment.build(sid, sid[0], locs))
+    return segs
+
+
+@st.composite
+def _spread_windows(draw):
+    lons, lats = sorted([draw(_LONS), draw(_LONS)]), sorted([draw(_LATS), draw(_LATS)])
+    start = draw(st.integers(_EPOCH - 9_000, _EPOCH + 4 * 3600))
+    tr = TimeRange(start, start + draw(st.sampled_from([0, 1, 600, 3599, 8000])))
+    return MBR(lons[0], lats[0], lons[1], lats[1]), tr, draw(st.sampled_from([0.0, 50.0, 3_000.0, 500_000.0]))
+
+
+@given(_spread_segments(), st.integers(1, 3), st.lists(st.integers(0, 3), max_size=3),
+       st.lists(_spread_windows(), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_both_access_paths_equal_a_header_scan(segs, num_shards, short_periods, windows):
+    cfg = XzConfig(resolution=6, epoch=_EPOCH, period_len=3600, num_shards=num_shards)
+    backend = MemoryBackend()
+    for seg in segs:
+        backend.put(encode_key(seg, cfg).packed(), encode_segment(seg))
+    for k, period in enumerate(short_periods):  # short values inside a span: NaN headers meet nothing
+        backend.put(KEY_HEAD.pack(k % num_shards, period, k) + b"short", b"short"[: 2 * k])
+    for w, tr, theta_d in windows:
+        for theta_t in (0.0, 900.0):
+            want = _header_scan(backend, w, tr, theta_d, theta_t)
+            assert _positions_by_path(w, tr, theta_d, theta_t, backend, cfg) == [want, want]
 
 
 # --- ingest ----------------------------------------------------------------------------
