@@ -45,7 +45,6 @@ from .store import (
     encode_segment,
     ingest,
     load_trajectory,
-    scan_all,
     st_query,
     storage_segments,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "load_trajectory",
     "mbr_of",
     "read_points_csv",
-    "scan_all",
     "segment",
     "segment_ir",
     "sequence_code",

@@ -62,8 +62,9 @@ class QueryParams:
 
 class PointArray:
     """Points as float64 columns for vectorized scoring: longitude in degrees,
-    latitude in radians with its cosine, and time. Built from a location list
-    or from the ``lon``/``lat``/``t`` records ``store.st_read`` decodes."""
+    latitude in radians with its cosine, and time. Built from a location list,
+    from the ``lon``/``lat``/``t`` rows ``store.st_read`` gathers, or from a
+    query segment's slice of its trajectory's columns (``query.irq``)."""
 
     __slots__ = ("lon_deg", "lat_rad", "cos_lat", "t", "size")
 

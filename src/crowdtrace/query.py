@@ -1,8 +1,10 @@
 """Single-trajectory contact query: candidate extraction plus pruned scoring.
 
-Candidates are the stored trajectories the query segments' expanded windows
-retrieve, each record read once per query into columns. The query segments
-are walked in order, each scored in one bounded matrix pass against every
+The query is cut into segments by one pass of the columnar kernel over its
+own points (``query_segments``), as ingest cuts stored tracks. Candidates are
+the stored trajectories the query segments' expanded windows retrieve, each
+record read once per query into columns. The query segments are walked in
+order, each scored in one bounded matrix pass against every
 live candidate it retrieved (``segment_irs``). Four pruning rules, applied
 as masks over the candidates, drop those that provably cannot reach the
 threshold:
@@ -19,11 +21,13 @@ Scores are identical with pruning on or off; only the work differs.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Sequence
+
 import numpy as np
 
-# segment_ir and st_query stay bound here: perfbench's tracer wraps them in this module
-from .metric import PointArray, QueryParams, segment_ir, segment_irs, span_weight
-from .model import Segment, SegmentationConfig, TimeRange, Trajectory, filter_noise, segment
+# filter_noise, segment, segment_ir and st_query stay bound here: perfbench's tracer wraps them in this module
+from .metric import PointArray, QueryParams, segment_ir, segment_irs
+from .model import MBR, Segment, SegmentationConfig, TimeRange, Tracks, Trajectory, cut, filter_noise, segment
 from .store import Retrieved, StoreBackend, st_query, st_read
 from .xz import XzConfig
 
@@ -32,8 +36,33 @@ ALL_LEMMAS = frozenset({1, 2, 3, 4})
 COUNTER_KEYS = ("candidates", "evaluated", "lemma1", "lemma2", "lemma3", "lemma4")
 
 
+class QuerySegment(NamedTuple):
+    """A segment of a query trajectory, cut from its columns: its box, first
+    and last time, and points."""
+
+    mbr: MBR
+    st: int
+    et: int
+    points: PointArray
+
+
+def query_segments(q: Trajectory, seg_cfg: SegmentationConfig) -> tuple[list[QuerySegment], list[float]]:
+    """The segments ``segment(filter_noise(q))`` gives, from one pass of the
+    kernel over ``q``'s columns, and the dwell weight of each: its share
+    ``(et - st + 1) / total`` of their spans, as ``span_weight`` takes it."""
+    c = cut(Tracks.of([q]), seg_cfg, noise_gate=True)
+    lon, lat, t = c.tracks.lon, c.tracks.lat, c.tracks.t
+    starts, ends = c.starts.tolist(), c.ends.tolist()
+    sts, ets = t[c.starts].tolist(), t[c.ends - 1].tolist()
+    spans = [et - st + 1 for st, et in zip(sts, ets)]
+    total = sum(spans)
+    segs = [QuerySegment(MBR(*box), st, et, PointArray(lon[a:b], np.radians(lat[a:b]), t[a:b].astype(np.float64)))
+            for *box, st, et, a, b in zip(*(x.tolist() for x in c.boxes), sts, ets, starts, ends)]
+    return segs, [span / total for span in spans]
+
+
 def extract_candidates(
-    q_segments: list[Segment],
+    q_segments: Sequence[Segment | QuerySegment],
     params: QueryParams,
     backend: StoreBackend,
     cfg: XzConfig,
@@ -64,9 +93,7 @@ def irq(
     filled with per-rule prune counts.
     """
     lemmas = frozenset(lemmas)
-    seg_cfg = seg_cfg or SegmentationConfig()
-    q_segments = segment(filter_noise(q, seg_cfg), seg_cfg)
-    weights = [span_weight(s, q_segments) for s in q_segments]
+    q_segments, weights = query_segments(q, seg_cfg or SegmentationConfig())
     cands = extract_candidates(q_segments, params, backend, cfg, exclude_id=q.id)
     points = PointArray.of(cands.points)
 
@@ -81,7 +108,7 @@ def irq(
         scored = np.flatnonzero(touch & (pruned_by == 0))
         irp = np.zeros(len(cands))
         ends = cands.runs[scored + 1]
-        irp[scored] = segment_irs(PointArray.of(qseg.locations), points, cands.runs[scored], ends, params) * w
+        irp[scored] = segment_irs(qseg.points, points, cands.runs[scored], ends, params) * w
         if 2 in lemmas:
             pruned_by[(pruned_by == 0) & (irp < params.theta - 1.0 + w)] = 2
         if 3 in lemmas:

@@ -4,14 +4,17 @@ Two interchangeable backends satisfy the same contract: ``put(key, value)``,
 ``scan(low, high)`` yielding keys in strict byte order within [low, high),
 ``refine``, the key-order positions of the records in key ranges whose
 segment header meets a window, ``positions_of``, those of the records of one
-trajectory, and ``read``, the values at such positions. Both are one
+trajectory, ``read``, the values at such positions, and ``records`` and
+``points``, their fields and point blocks as columns. Both are one
 ``SortedIndex``: sorted keys over slots, each slot's fixed 48-byte header
 (box, st, et) and trajectory id kept beside it, and both also kept in key
 order, as numpy columns, rebuilt by the first read after a new key and
-patched in place by an overwrite. They differ only in where values live: ``MemoryBackend`` holds them in a list; ``FileBackend`` keeps an offset
-and a length into a single-file append-only log, replayed on open a chunk of
-frames at a time, which appends nothing for a put of the bytes a key already
-holds.
+patched in place by an overwrite. Each slot also keeps where its value and
+its point block lie in one buffer, and how many points the block holds. The
+backends differ only in that buffer: ``MemoryBackend`` appends its values to
+a ``bytearray``; ``FileBackend`` appends them to a single-file log, replayed
+on open a chunk of frames at a time, which appends nothing for a put of the
+bytes a key already holds, and reads them through a read-only map of it.
 
 ``ingest`` hands trajectories, as lon/lat/t columns (``Tracks``), to the
 columnar kernel of ``model`` in batches of about ``BATCH_POINTS`` points; one
@@ -26,21 +29,22 @@ contiguous span of keys a shard, and the exact box and time tests run over
 those spans' header columns directly, without planning curve ranges within
 them. That gives the result of a full linear scan, and only records that
 pass are read and decoded.
-``st_read`` does the same for many windows at once, reading each record once
-and decoding its points straight into numpy columns, one run per trajectory.
+``st_read`` does the same for many windows at once, and ``load_trajectory``
+for the records of one trajectory, each gathering every point it returns by
+one numpy index into the buffer; no record is decoded one at a time.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
 import os
 import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Protocol, Sequence
 
 import numpy as np
 
@@ -89,6 +93,10 @@ class StoreBackend(Protocol):
 
     def read(self, positions: np.ndarray) -> Iterator[bytes]: ...
 
+    def records(self, positions: np.ndarray) -> "Records | None": ...
+
+    def points(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray: ...
+
 
 # the fixed header an encoded segment starts with: box corners, st, et
 _HEADER = struct.Struct("<4dqq")
@@ -99,6 +107,9 @@ _HEADER_DTYPE = np.dtype([("min_lon", "<f8"), ("min_lat", "<f8"), ("max_lon", "<
 # kept for a value too short to hold a header: its NaN box meets no window
 _NO_HEADER = _HEADER.pack(math.nan, math.nan, math.nan, math.nan, 0, 0)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_COUNT = struct.Struct("<I")  # after the sid: the number of points that follow
+_POINT = struct.Struct("<ddq")
+_POINT_DTYPE = np.dtype([("lon", "<f8"), ("lat", "<f8"), ("t", "<i8")])  # _POINT, as columns
 
 
 def _id_field(value: bytes) -> bytes | None:
@@ -108,6 +119,22 @@ def _id_field(value: bytes) -> bytes | None:
         return None
     end = _PEEK.size + _LEN.unpack_from(value, _HEADER.size)[0]
     return value[_PEEK.size : end] if len(value) >= end else None
+
+
+def _point_block(value: bytes, size: int) -> tuple[int, int]:
+    """Where the point block of a ``size``-byte value starts in it, and how
+    many points it holds; a count of -1 when the value is too short for its
+    id, sid, count or points, which ``_unpack`` refuses. ``value`` holds the
+    value's bytes at least up to its count field."""
+    if size >= _PEEK.size:
+        sid_len_at = _PEEK.size + _LEN.unpack_from(value, _HEADER.size)[0]
+        if size >= sid_len_at + _LEN.size:
+            count_at = sid_len_at + _LEN.size + _LEN.unpack_from(value, sid_len_at)[0]
+            if size >= count_at + _COUNT.size:
+                count = _COUNT.unpack_from(value, count_at)[0]
+                if size >= count_at + _COUNT.size + count * _POINT.size:
+                    return count_at + _COUNT.size, count
+    return 0, -1
 
 
 class _KeyOrder(NamedTuple):
@@ -121,6 +148,19 @@ class _KeyOrder(NamedTuple):
     places: np.ndarray  # by slot
     columns: tuple[np.ndarray, ...]
     ids: np.ndarray
+
+
+class Records(NamedTuple):
+    """Records at key-order positions, as columns: their raw trajectory ids
+    and sids, their header fields (``_HEADER_DTYPE`` order), and where each
+    one's point block starts in the backend's buffer and how many points it
+    holds (``points`` takes them)."""
+
+    ids: list[bytes]
+    sids: list[bytes]
+    heads: tuple[np.ndarray, ...]
+    starts: np.ndarray
+    counts: np.ndarray
 
 
 def _meets(field: Callable[[int], np.ndarray], w: MBR, t: TimeRange) -> np.ndarray:
@@ -144,42 +184,60 @@ class SortedIndex:
 
     A key owns one slot for life; a new key takes the next one. A put to the
     key replaces the slot's value and the header bytes and trajectory id kept
-    for it; a subclass says where a slot's value lives (``_read``). Readers
-    see the index in key order (``_order``), rebuilt after a new key; a put
-    to a key it holds writes the new header and id into its key-order
-    columns too, so no reader sees a stale one. Scans must not interleave
-    with writes.
+    for it, and where the value and its point block lie in the backend's
+    buffer (``_buffer``), which a subclass keeps. Readers see the index in
+    key order (``_order``), rebuilt after a new key; a put to a key it holds
+    writes the new header and id into its key-order columns too, so no
+    reader sees a stale one. Every numpy view of the buffer or of a per-slot
+    column is gone before the call that made it returns, so puts may grow
+    them and a map may be closed. Scans must not interleave with writes.
     """
 
     def __init__(self) -> None:
         self._slot_of: dict[bytes, int] = {}
         self._headers = bytearray()  # _HEADER.size bytes a slot
         self._ids: list[bytes | None] = []  # by slot: ``_id_field`` of the value
+        self._offsets = array("q")  # by slot: where the value starts in the buffer
+        self._lengths = array("I")
+        self._points = array("q")  # where its point block starts in the buffer
+        self._counts = array("q")  # how many points the block holds; -1 if ``_point_block`` finds none
         self._sorted: _KeyOrder | None = None  # gone with a new key
 
-    def _record(self, key: bytes, value: bytes) -> int:
-        """The key's slot, now holding the header and id of ``value``."""
+    def _record(self, key: bytes, value: bytes, offset: int) -> None:
+        """Give the key's slot the header, id and point block of ``value``,
+        which lies at ``offset`` in the buffer."""
         head = value[: _HEADER.size] if len(value) >= _HEADER.size else _NO_HEADER
         traj_id = _id_field(value)
+        at, count = _point_block(value, len(value))
         slot = self._slot_of.get(key)
         if slot is None:
-            slot = self._slot_of[key] = len(self._ids)
+            self._slot_of[key] = len(self._ids)
             self._headers += head
             self._ids.append(traj_id)
+            self._offsets.append(offset)
+            self._lengths.append(len(value))
+            self._points.append(offset + at)
+            self._counts.append(count)
             self._sorted = None
-            return slot
+            return
         self._headers[slot * _HEADER.size : (slot + 1) * _HEADER.size] = head
         self._ids[slot] = traj_id
+        self._offsets[slot], self._lengths[slot] = offset, len(value)
+        self._points[slot], self._counts[slot] = offset + at, count
         order = self._sorted
         if order is not None:  # no key moved: patch the key-order columns
-            at = order.places[slot]
+            place = order.places[slot]
             for column, field in zip(order.columns, _HEADER.unpack(head)):
-                column[at] = field
-            order.ids[at] = traj_id
-        return slot
+                column[place] = field
+            order.ids[place] = traj_id
+
+    def _buffer(self) -> bytes | bytearray | mmap.mmap:
+        """The bytes every slot's value lies in, as of the last ``_order``."""
+        raise NotImplementedError
 
     def _read(self, slot: int) -> bytes:
-        raise NotImplementedError
+        offset = self._offsets[slot]
+        return bytes(self._buffer()[offset : offset + self._lengths[slot]])
 
     def _order(self) -> _KeyOrder:
         """The index in key order, rebuilt if a new key came."""
@@ -229,30 +287,66 @@ class SortedIndex:
         iterator reaches it."""
         return map(self._read, self._order().slots[positions].tolist())
 
+    def records(self, positions: np.ndarray) -> Records | None:
+        """The records at key-order positions, as ``read`` would give them, as
+        columns; None if one of them is too short for its fields or points,
+        or holds an id or a sid that is not UTF-8: a value ``_unpack``
+        refuses. The sids are the only field sliced a record at a time."""
+        order = self._order()
+        slots = order.slots[positions]
+        counts = np.frombuffer(self._counts, np.int64)[slots]
+        if (counts < 0).any():
+            return None
+        ids = order.ids[positions].tolist()
+        starts = np.frombuffer(self._points, np.int64)[slots]
+        sid_at = np.frombuffer(self._offsets, np.int64)[slots] + _PEEK.size + _LEN.size
+        sid_at += np.fromiter(map(len, ids), np.int64, len(ids))
+        buf = self._buffer()
+        sids = [bytes(buf[a:b]) for a, b in zip(sid_at.tolist(), (starts - _COUNT.size).tolist())]
+        try:  # NUL ends no UTF-8 sequence and starts none, so the join is valid only if every part is
+            b"\x00".join(sids).decode("utf-8")
+            b"\x00".join(set(ids)).decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        return Records(ids, sids, tuple(column[positions] for column in order.columns), starts, counts)
+
+    def points(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The point blocks of ``counts[i]`` points at byte ``starts[i]`` of
+        the buffer (``Records``), one after another, as ``_POINT_DTYPE``
+        rows: one index into a view of the buffer whose row ``i`` is the
+        point at byte ``i``. A copy: no view of the buffer outlives the call."""
+        total = int(counts.sum())
+        if not total:
+            return np.empty(0, _POINT_DTYPE)
+        at = np.repeat(starts - _POINT.size * (np.cumsum(counts) - counts), counts)
+        at += _POINT.size * np.arange(total)
+        raw = np.frombuffer(self._buffer(), np.uint8)
+        # rows as opaque bytes: numpy copies them whole, not a field at a time
+        rows = np.ndarray((len(raw) - _POINT.size + 1,), f"V{_POINT.size}", raw, 0, (1,))
+        return rows[at].view(_POINT_DTYPE)
+
     def __len__(self) -> int:
         return len(self._slot_of)
 
 
-def _put_slot(column: list | array, slot: int, item) -> None:
-    """Set a slot's item in a per-slot column; a new slot is one past its end."""
-    if slot < len(column):
-        column[slot] = item
-    else:
-        column.append(item)
-
-
 class MemoryBackend(SortedIndex):
-    """Values in a list by slot; the reference backend for tests and oracles."""
+    """Values appended to one ``bytearray`` a put at a time, as the log
+    appends them, and as there a put of the bytes a key already holds
+    appends nothing; the reference backend for tests and oracles."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._values: list[bytes] = []
+        self._values = bytearray()
 
     def put(self, key: bytes, value: bytes) -> None:
-        _put_slot(self._values, self._record(key, value), value)
+        slot = self._slot_of.get(key)
+        if slot is not None and self._read(slot) == value:
+            return
+        self._record(key, value, len(self._values))
+        self._values += value
 
-    def _read(self, slot: int) -> bytes:
-        return self._values[slot]
+    def _buffer(self) -> bytearray:
+        return self._values
 
 
 _FRAME = struct.Struct("<II")
@@ -265,22 +359,22 @@ class FileBackend(SortedIndex):
 
     Writes append length-prefixed frames. Opening the log replays it into the
     index, later writes winning, by positional reads of ``REPLAY_CHUNK``
-    bytes, taking each value's header and trajectory id but not holding the
-    log. A put of the bytes its key already holds appends nothing, so
-    re-ingesting unchanged data leaves the log as it was. A torn frame at the
-    tail, left by a writer that stopped mid-frame, is skipped on open and cut
-    off by the first write, so new frames follow the last whole one; a
-    backend that only reads never changes the file. Values are read back with
-    positional reads, so several threads may scan or refine on one backend at
-    once. Closing it lets the index go. Single writer; scans must not
-    interleave with writes.
+    bytes, taking each value's header, trajectory id and point block without
+    holding the log. A put of the bytes its key already holds appends
+    nothing, so re-ingesting unchanged data leaves the log as it was. A torn
+    frame at the tail, left by a writer that stopped mid-frame, is skipped on
+    open and cut off by the first write, so new frames follow the last whole
+    one; a backend that only reads never changes the file. Values are read
+    through a read-only map of the log, made by the first read and made
+    again by a read after appends pass its end, so several threads may scan,
+    refine or gather on one backend at once. Closing it closes the map and
+    lets the index go. Single writer; scans must not interleave with writes.
     """
 
     def __init__(self, path: str):
         super().__init__()
         self.path = path
-        self._offsets = array("Q")  # by slot
-        self._lengths = array("I")
+        self._map: mmap.mmap | None = None
         exists = os.path.exists(path)
         self._wf = open(path, "ab")
         if not exists or os.path.getsize(path) == 0:
@@ -334,7 +428,10 @@ class FileBackend(SortedIndex):
     def _index_chunk(self, buf: bytes, base: int, starts: list[int]) -> None:
         """Index the whole frames starting at ``starts`` in ``buf``, the log
         from offset ``base`` on: their length fields, headers and id lengths
-        gathered as rows of bytes by one numpy index each, keys and ids sliced."""
+        gathered as rows of bytes, their sid lengths and point counts as
+        fields, each by one numpy index; keys and ids sliced. A field that
+        would lie past its value is read at the end of ``buf``, and the value
+        gets no point block (``_point_block``)."""
         padded = np.frombuffer(buf + bytes(_PEEK.size), np.uint8)  # so every row below is whole
         rows = np.ndarray((len(buf) + 1, _PEEK.size), np.uint8, padded, 0, (1, 1))  # row i: bytes i on
         at = np.array(starts, np.intp)
@@ -355,28 +452,45 @@ class FileBackend(SortedIndex):
         for j in np.flatnonzero(val_len < _PEEK.size + id_len).tolist():
             ids[j] = None  # too short to hold its id field
         self._ids += ids
-        self._offsets.extend((base + val_at).tolist())
-        self._lengths.extend(val_len.tolist())
+
+        u16 = np.ndarray((len(buf) + 1,), "<u2", padded, 0, (1,))  # item i: the field at byte i
+        u32 = np.ndarray((len(buf) + 1,), "<u4", padded, 0, (1,))
+        val_end = val_at + val_len
+        sid_len_at = np.minimum(id_at + id_len, len(buf))
+        count_at = np.minimum(sid_len_at + _LEN.size + u16[sid_len_at], len(buf))
+        point_at = count_at + _COUNT.size
+        counts = u32[count_at].astype(np.int64)
+        whole = (val_len >= _PEEK.size) & (sid_len_at + _LEN.size <= val_end) & (point_at <= val_end)
+        whole &= point_at + _POINT.size * counts <= val_end
+        self._offsets.frombytes((base + val_at).astype(np.int64).tobytes())
+        self._lengths.frombytes(val_len.astype(np.uint32).tobytes())
+        self._points.frombytes((base + np.where(whole, point_at, val_at)).astype(np.int64).tobytes())
+        self._counts.frombytes(np.where(whole, counts, -1).tobytes())
 
     def _index_frame(self, at: int, size: int) -> int | None:
         """Index the one frame at offset ``at``, reading only its length
-        fields, key, header and id; returns the offset past it, or None when
-        the log ends inside it."""
+        fields, key, and its value up to its point count; returns the offset
+        past it, or None when the log ends inside it."""
         key_len, val_len = _FRAME.unpack(os.pread(self._fd, _FRAME.size, at))
         offset = at + _FRAME.size + key_len
         if offset + val_len > size:
             return None
         fields = os.pread(self._fd, key_len + min(val_len, _PEEK.size), at + _FRAME.size)
-        traj_id = None
-        if val_len >= _PEEK.size:
-            id_len = _LEN.unpack_from(fields, key_len + _HEADER.size)[0]
-            if val_len >= _PEEK.size + id_len:
-                traj_id = os.pread(self._fd, id_len, offset + _PEEK.size)
+        head = fields[key_len:]
+        if val_len >= _PEEK.size:  # then the id and the sid length, then the sid and the count
+            upto = _PEEK.size + _LEN.unpack_from(head, _HEADER.size)[0] + _LEN.size
+            head += os.pread(self._fd, min(val_len, upto) - len(head), offset + len(head))
+            if val_len >= upto:
+                upto += _LEN.unpack_from(head, upto - _LEN.size)[0] + _COUNT.size
+                head += os.pread(self._fd, min(val_len, upto) - len(head), offset + len(head))
+        point_at, count = _point_block(head, val_len)
         self._slot_of[fields[:key_len]] = len(self._ids)
-        self._headers += fields[key_len : key_len + _HEADER.size] if val_len >= _HEADER.size else _NO_HEADER
-        self._ids.append(traj_id)
+        self._headers += head[: _HEADER.size] if val_len >= _HEADER.size else _NO_HEADER
+        self._ids.append(_id_field(head))
         self._offsets.append(offset)
         self._lengths.append(val_len)
+        self._points.append(offset + point_at)
+        self._counts.append(count)
         return offset + val_len
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -391,6 +505,7 @@ class FileBackend(SortedIndex):
         if self._torn_at is not None:
             # frames after the torn one would be lost on the next replay
             log.warning("%s: cutting a torn tail at byte %d", self.path, self._torn_at)
+            self._map = None  # it may reach past the cut; no view of it outlives a read
             self._wf.truncate(self._torn_at)
             self._wf.seek(self._torn_at)
             self._flushed = self._torn_at
@@ -399,24 +514,26 @@ class FileBackend(SortedIndex):
         self._wf.write(key)
         offset = self._wf.tell()
         self._wf.write(value)
-        slot = self._record(key, value)
-        _put_slot(self._offsets, slot, offset)
-        _put_slot(self._lengths, slot, len(value))
+        self._record(key, value, offset)
 
     def _order(self) -> _KeyOrder:
-        self._wf.flush()  # values are read back from the file
+        self._wf.flush()  # values are read back through the map
+        if self._map is None or len(self._map) < self._wf.tell():  # appends passed its end
+            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)  # an older map closes with its last view
         return super()._order()
 
-    def _read(self, slot: int) -> bytes:
-        return os.pread(self._fd, self._lengths[slot], self._offsets[slot])
+    def _buffer(self) -> mmap.mmap:
+        return self._map
 
     def close(self) -> None:
         self._wf.flush()
         self._wf.close()
         self._rf.close()
+        if self._map is not None:
+            self._map.close()
         # free the index now, not when the object goes, so the next open can reuse its memory
-        self._slot_of, self._headers, self._ids, self._sorted = {}, bytearray(), [], None
-        self._offsets, self._lengths = array("Q"), array("I")
+        self._slot_of, self._headers, self._ids, self._sorted, self._map = {}, bytearray(), [], None, None
+        self._offsets, self._lengths, self._points, self._counts = array("q"), array("I"), array("q"), array("q")
 
     def __enter__(self) -> "FileBackend":
         return self
@@ -426,10 +543,6 @@ class FileBackend(SortedIndex):
 
 
 # --- segment record codec -----------------------------------------------------
-
-_COUNT = struct.Struct("<I")
-_POINT = struct.Struct("<ddq")
-_POINT_DTYPE = np.dtype([("lon", "<f8"), ("lat", "<f8"), ("t", "<i8")])  # _POINT, as columns
 
 
 def encode_segment(seg: Segment) -> bytes:
@@ -605,11 +718,6 @@ def expand_boxes(mbr: MBR, pad_m: float) -> list[MBR]:
     return boxes
 
 
-def expand_mbr(mbr: MBR, pad_m: float) -> MBR:
-    """The first box of ``expand_boxes``: the grown box, clamped to the world."""
-    return expand_boxes(mbr, pad_m)[0]
-
-
 def expand_time_range(tr: TimeRange, pad_s: float) -> TimeRange:
     return TimeRange(int(math.floor(tr.start - pad_s)), int(math.ceil(tr.end + pad_s)))
 
@@ -658,8 +766,9 @@ def st_query(
 class Retrieved:
     """Stored trajectories that windows found, in id order, as columns:
     trajectory ``c``'s points, in time order, are ``points[runs[c]:runs[c + 1]]``
-    (``_POINT_DTYPE``), ``heads[c]`` holds the (box corners, st, et) of its
-    segments, and ``touches[i, c]`` is true when window ``i`` found it."""
+    (``_POINT_DTYPE`` rows, copied out of the store's buffer), ``heads[c]``
+    holds the (box corners, st, et) of its segments, taken from the index's
+    header columns, and ``touches[i, c]`` is true when window ``i`` found it."""
 
     traj_ids: list[str]
     runs: np.ndarray
@@ -671,50 +780,104 @@ class Retrieved:
         return len(self.traj_ids)
 
 
+def _refused(backend: StoreBackend, positions: np.ndarray, decode: Callable[[bytes], object]) -> NoReturn:
+    """Raise what ``decode`` raises on the first record at ``positions``, in
+    key order, that it refuses."""
+    for value in backend.read(positions):
+        decode(value)
+    raise AssertionError("a record found unfit decodes")
+
+
+def _in_order(places: np.ndarray, sids: list[bytes], *keys: np.ndarray) -> np.ndarray:
+    """``places`` (into ``sids`` and the ``keys`` columns) sorted by
+    ``keys``, the last one first as in ``np.lexsort``, then by sid. The sids
+    are raw UTF-8, whose byte order is the code point order ``str`` sorts
+    by, and are only compared where the keys tie."""
+    places = places[np.lexsort([k[places] for k in keys])]
+    tie = np.ones(max(len(places) - 1, 0), bool)
+    for k in keys:
+        column = k[places]
+        tie &= column[1:] == column[:-1]
+    if tie.any():
+        places = np.array(sorted(places.tolist(), key=lambda j: (*(k[j] for k in reversed(keys)), sids[j])), np.intp)
+    return places
+
+
+def _first_copies(sids: list[bytes], found: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """For a sid held by several records: each window's records (places
+    into ``sids``) cut to the first copy of each sid in key order, and the
+    copies kept, each sid's from the last window that found it."""
+    first = dict(zip(reversed(sids), range(len(sids) - 1, -1, -1)))  # a sid -> its first place
+    code = np.fromiter(map(first.__getitem__, sids), np.intp, len(sids))
+    holder = np.full(len(sids), -1)
+    firsts = []
+    for at in found:
+        at = at[np.unique(code[at], return_index=True)[1]]
+        holder[code[at]] = at
+        firsts.append(at)
+    return firsts, holder[holder >= 0]
+
+
 def st_read(
     windows: Sequence[tuple[MBR, TimeRange]], theta_d: float, theta_t: float,
     backend: StoreBackend, cfg: XzConfig, exclude_id: str | None = None,
 ) -> Retrieved:
-    """``st_query`` of every window, with each record read once and the
-    points of all decoded by one ``np.frombuffer``; no ``Location`` is built.
+    """``st_query`` of every window, with no record decoded alone: the
+    records found are sorted by (trajectory id, st, sid) and the points of
+    all of them gathered by one index (``points``); no ``Location`` is built.
 
     A sid keeps the copy that the last window to find it found first in key
     order, as when later ``st_query`` results overwrite earlier ones. The
-    trajectory ``exclude_id`` is left out.
+    trajectory ``exclude_id`` is left out. A found record that ``_unpack``
+    refuses raises what it raises.
     """
     found = [_window_positions(w, tr, theta_d, theta_t, backend, cfg) for w, tr in windows]
     union = np.unique(np.concatenate(found)) if found else np.empty(0, np.intp)
-    records = dict(zip(union.tolist(), map(_unpack, backend.read(union))))
-    # per window, the first copy of each sid in key order
-    firsts = [{records[p][1]: records[p] for p in reversed(at.tolist())} for at in found]
-    kept = {sid: rec for first in firsts for sid, rec in first.items()}
-    ordered = sorted((r for r in kept.values() if r[0] != exclude_id), key=lambda r: (r[0], r[2][4], r[1]))
-    groups = [list(g) for _, g in groupby(ordered, key=lambda r: r[0])]
-    index = {g[0][0]: c for c, g in enumerate(groups)}
-    touches = np.zeros((len(windows), len(groups)), bool)
-    for row, first in zip(touches, firsts):
-        row[[index[r[0]] for r in first.values() if r[0] in index]] = True
-    runs = np.cumsum([0] + [sum(len(r[3]) for r in g) // _POINT.size for g in groups])
-    points = np.frombuffer(b"".join(r[3] for r in ordered), _POINT_DTYPE)
-    return Retrieved(list(index), runs, points, [[r[2] for r in g] for g in groups], touches)
+    recs = backend.records(union)
+    if recs is None:
+        _refused(backend, union, _unpack)
+    found = [np.searchsorted(union, at) for at in found]  # as places in union
+    kept = np.arange(len(union))
+    if len(set(recs.sids)) < len(union):
+        found, kept = _first_copies(recs.sids, found)
+    names = sorted(set(recs.ids))
+    rank = dict(zip(names, range(len(names))))
+    owner = np.fromiter(map(rank.__getitem__, recs.ids), np.intp, len(union))  # by place: its id's rank
+    if exclude_id is not None:  # encoded as is, so an id no record holds matches none
+        kept = kept[owner[kept] != rank.get(exclude_id.encode("utf-8", "surrogatepass"), -1)]
+    order = _in_order(kept, recs.sids, recs.heads[4], owner)
 
-
-# all keys are 13 header bytes plus a UTF-8 sid, so this high bound tops them
-_ALL_KEYS = (b"", b"\xff" * 14)
-
-
-def scan_all(backend: StoreBackend) -> Iterator[Segment]:
-    """Decode every stored segment in key order."""
-    for _, value in backend.scan(*_ALL_KEYS):
-        yield decode_segment(value)
+    owners, firsts = np.unique(owner[order], return_index=True)
+    bounds = np.append(firsts, len(order)).tolist()
+    counts = recs.counts[order]
+    runs = np.concatenate(([0], np.cumsum(counts)))[bounds]
+    heads = list(zip(*(column[order].tolist() for column in recs.heads)))
+    column_of = np.full(len(names), -1)
+    column_of[owners] = np.arange(len(owners))
+    touches = np.zeros((len(windows), len(owners)), bool)
+    for row, at in zip(touches, found):
+        c = column_of[owner[at]]
+        row[c[c >= 0]] = True
+    return Retrieved([names[k].decode("utf-8") for k in owners.tolist()], runs,
+                     backend.points(recs.starts[order], counts),
+                     [heads[a:b] for a, b in zip(bounds, bounds[1:])], touches)
 
 
 def load_trajectory(backend: StoreBackend, traj_id: str) -> Trajectory | None:
-    """Reassemble one trajectory from its stored segments: only the records
-    the index's id column finds for ``traj_id`` are read and decoded.
+    """Reassemble one trajectory from its stored segments, in (st, sid)
+    order: only the records the index's id column finds for ``traj_id`` are
+    read, their points gathered by one index (``points``). A record that
+    ``_unpack`` refuses raises what ``decode_segment`` raises on it, and
+    each point is checked as a ``Location``; the checks ``Segment`` makes of
+    a record's header against its points, which ingest writes from them,
+    are not made.
     """
-    segs = [decode_segment(value) for value in backend.read(backend.positions_of(traj_id))]
-    if not segs:
+    positions = backend.positions_of(traj_id)
+    if not positions.size:
         return None
-    segs.sort(key=lambda s: (s.st, s.sid))
-    return Trajectory(traj_id, [loc for seg in segs for loc in seg.locations])
+    recs = backend.records(positions)
+    if recs is None:
+        _refused(backend, positions, decode_segment)
+    order = _in_order(np.arange(len(positions)), recs.sids, recs.heads[4])
+    points = backend.points(recs.starts[order], recs.counts[order])
+    return Trajectory(traj_id, map(Location, *(points[name].tolist() for name in _POINT_DTYPE.names)))

@@ -33,6 +33,13 @@ peeked every record; the lookup through the index's id column must return
 the same trajectory or raise the same error. ``write_points_csv`` is the
 ``csv.writer`` loop the points CSV was written with; the faster writer must
 write the same bytes.
+
+``st_read`` is the window read as it was before it gathered: each record
+found read and unpacked alone (``_unpack``), grouped by ``itertools.groupby``.
+``load_trajectory_decoded`` is the id-column lookup as it was before it
+gathered: each record found decoded alone (``decode_segment``). The gathers
+in ``crowdtrace.store`` must return the same columns, bit for bit, or raise
+the same error. ``scan_all`` and ``expand_mbr`` are helpers only tests use.
 """
 
 from __future__ import annotations
@@ -41,13 +48,16 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import groupby, islice
+
+import numpy as np
 
 from crowdtrace.metric import PointArray, QueryParams, segment_ir, span_weight
 from crowdtrace.model import MBR, WORLD, Location, Segment, SegmentationConfig, TimeRange, Trajectory
 from crowdtrace.query import ALL_LEMMAS, COUNTER_KEYS
 from crowdtrace.store import (
-    _FRAME, _HEADER, _LEN, _LOG_MAGIC, _NO_HEADER, _PEEK, REPLAY_CHUNK, decode_segment, encode_segment, st_query,
+    _COUNT, _FRAME, _HEADER, _LEN, _LOG_MAGIC, _NO_HEADER, _PEEK, _POINT, _POINT_DTYPE, REPLAY_CHUNK, Retrieved,
+    _unpack, _window_positions, decode_segment, encode_segment, expand_boxes, st_query,
 )
 from crowdtrace.xz import XzConfig, XzElement, bin_of, encode_key, sequence_code
 
@@ -478,7 +488,9 @@ def replay(backend) -> int:
     """Index every whole frame of an opened ``FileBackend``'s log, one frame
     at a time; returns the offset just past the last one. Each frame takes
     the next slot, its value's header (``_NO_HEADER`` when too short) and the
-    raw bytes of its length-prefixed trajectory id (None when too short)."""
+    raw bytes of its length-prefixed trajectory id (None when too short),
+    and where its point block starts and how many points it holds (the
+    value's offset and -1 when it is too short for its sid, count or points)."""
     fd = backend._fd
     size = os.fstat(fd).st_size
     if os.pread(fd, len(_LOG_MAGIC), 0) != _LOG_MAGIC:
@@ -506,9 +518,66 @@ def replay(backend) -> int:
             if id_end <= offset + val_len:
                 have(id_end)
                 traj_id = buf[offset + _PEEK.size - base : id_end - base]
+        point_at, count = offset, -1  # the point block, when the value holds its sid, count and points
+        if traj_id is not None and id_end + _LEN.size <= offset + val_len:
+            have(id_end + _LEN.size)
+            count_at = id_end + _LEN.size + _LEN.unpack_from(buf, id_end - base)[0]
+            if count_at + _COUNT.size <= offset + val_len:
+                have(count_at + _COUNT.size)
+                n = _COUNT.unpack_from(buf, count_at - base)[0]
+                if count_at + _COUNT.size + n * _POINT.size <= offset + val_len:
+                    point_at, count = count_at + _COUNT.size, n
         backend._headers += head
         backend._ids.append(traj_id)
         backend._offsets.append(offset)
         backend._lengths.append(val_len)
+        backend._points.append(point_at)
+        backend._counts.append(count)
         end = offset + val_len
     return end
+
+
+# all keys are 13 header bytes plus a UTF-8 sid, so this high bound tops them
+ALL_KEYS = (b"", b"\xff" * 14)
+
+
+def scan_all(backend):
+    """Decode every stored segment in key order."""
+    for _, value in backend.scan(*ALL_KEYS):
+        yield decode_segment(value)
+
+
+def expand_mbr(mbr: MBR, pad_m: float) -> MBR:
+    """The first box of ``expand_boxes``: the grown box, clamped to the world."""
+    return expand_boxes(mbr, pad_m)[0]
+
+
+def st_read(windows, theta_d, theta_t, backend, cfg, exclude_id=None) -> Retrieved:
+    """The window read, each record found read and unpacked alone: a sid
+    keeps the copy that the last window to find it found first in key order;
+    the trajectory ``exclude_id`` is left out."""
+    found = [_window_positions(w, tr, theta_d, theta_t, backend, cfg) for w, tr in windows]
+    union = np.unique(np.concatenate(found)) if found else np.empty(0, np.intp)
+    records = dict(zip(union.tolist(), map(_unpack, backend.read(union))))
+    # per window, the first copy of each sid in key order
+    firsts = [{records[p][1]: records[p] for p in reversed(at.tolist())} for at in found]
+    kept = {sid: rec for first in firsts for sid, rec in first.items()}
+    ordered = sorted((r for r in kept.values() if r[0] != exclude_id), key=lambda r: (r[0], r[2][4], r[1]))
+    groups = [list(g) for _, g in groupby(ordered, key=lambda r: r[0])]
+    index = {g[0][0]: c for c, g in enumerate(groups)}
+    touches = np.zeros((len(windows), len(groups)), bool)
+    for row, first in zip(touches, firsts):
+        row[[index[r[0]] for r in first.values() if r[0] in index]] = True
+    runs = np.cumsum([0] + [sum(len(r[3]) for r in g) // _POINT.size for g in groups])
+    points = np.frombuffer(b"".join(r[3] for r in ordered), _POINT_DTYPE)
+    return Retrieved(list(index), runs, points, [[r[2] for r in g] for g in groups], touches)
+
+
+def load_trajectory_decoded(backend, traj_id: str) -> Trajectory | None:
+    """Reassemble one trajectory: decode each record the index's id column
+    finds for ``traj_id``, sort them by (st, sid)."""
+    segs = [decode_segment(value) for value in backend.read(backend.positions_of(traj_id))]
+    if not segs:
+        return None
+    segs.sort(key=lambda s: (s.st, s.sid))
+    return Trajectory(traj_id, [loc for seg in segs for loc in seg.locations])

@@ -37,8 +37,9 @@ from crowdtrace import (
 )
 import crowdtrace.join as join_mod
 import crowdtrace.query as query_mod
-from crowdtrace.store import expand_mbr, expand_time_range
+from crowdtrace.store import expand_time_range
 from conftest import build_workload, loc
+from reference import expand_mbr
 
 TABLE_DEFAULTS = QueryParams(lam=0.5, theta=0.5, theta_d=50.0, theta_t=120.0)
 

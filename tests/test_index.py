@@ -36,9 +36,9 @@ class ReferenceFileBackend(FileBackend):
 
 def index_state(backend):
     """Everything a replay builds: slots, headers, ids, offsets and lengths,
-    and where the next write cuts a torn tail."""
+    point blocks and counts, and where the next write cuts a torn tail."""
     return (backend._slot_of, bytes(backend._headers), backend._ids, list(backend._offsets),
-            list(backend._lengths), backend._torn_at)
+            list(backend._lengths), list(backend._points), list(backend._counts), backend._torn_at)
 
 
 def write_log(path, frames, tail=b""):
@@ -66,8 +66,9 @@ _IDS = st.one_of(st.sampled_from(["a", "a#0", "b#", "é", "日本", "t00001", "\
 @st.composite
 def _values(draw):
     """A value of any length a log may hold: shorter than a header, shorter
-    than its id field, a whole segment record, or one larger than a chunk."""
-    kind = draw(st.sampled_from(["short", "no id length", "cut id", "segment", "large"]))
+    than its id field, cut after its id (in its sid, count or points), a
+    whole segment record, one with trailing bytes, or one larger than a chunk."""
+    kind = draw(st.sampled_from(["short", "no id length", "cut id", "cut after id", "segment", "long", "large"]))
     if kind == "short":
         size = draw(st.one_of(st.integers(0, store._HEADER.size - 1), st.just(store._HEADER.size - 1)))
         return draw(st.binary(min_size=size, max_size=size))
@@ -77,6 +78,11 @@ def _values(draw):
     if kind == "cut id":
         id_end = store._PEEK.size + store._LEN.unpack_from(whole, store._HEADER.size)[0]
         return whole[: draw(st.integers(store._PEEK.size, id_end - 1))] if id_end > store._PEEK.size else whole
+    if kind == "cut after id":
+        id_end = store._PEEK.size + store._LEN.unpack_from(whole, store._HEADER.size)[0]
+        return whole[: draw(st.integers(id_end, len(whole) - 1))]
+    if kind == "long":
+        return whole + draw(st.binary(min_size=1, max_size=30))
     if kind == "large":
         return _segment_value(draw(_IDS), n_points=draw(st.integers(20, 120)))
     return whole

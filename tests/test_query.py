@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdtrace import (
     MemoryBackend,
@@ -12,8 +16,12 @@ from crowdtrace import (
     irq,
     irq_unpruned,
     segment,
+    filter_noise,
+    span_weight,
 )
-from conftest import build_workload, loc
+from crowdtrace.metric import PointArray
+from crowdtrace.query import query_segments
+from conftest import build_workload, loc, random_trajectory
 
 P = QueryParams()
 CFG = XzConfig(resolution=12)
@@ -31,6 +39,25 @@ def assert_results_match(got, want, tol=1e-9):
     want_by_id = dict(want)
     for tid, ir in got:
         assert ir == pytest.approx(want_by_id[tid], abs=tol)
+
+
+# --- the query's own segments ---------------------------------------------------
+
+
+@given(seed=st.integers(0, 2**16), spread=st.sampled_from([50.0, 400.0, 20_000.0]),
+       t_spread=st.sampled_from([60, 1200, 20_000]))
+@settings(max_examples=150, deadline=None)
+def test_query_segments_equal_the_segments_of_the_filtered_query(seed, spread, t_spread):
+    q = random_trajectory(random.Random(seed), "q", n_max=40, spread_m=spread, t_spread=t_spread)
+    want = segment(filter_noise(q, SEG), SEG)
+    got, weights = query_segments(q, SEG)
+    assert [(s.mbr, s.st, s.et) for s in got] == [(s.mbr, s.st, s.et) for s in want]
+    assert weights == [span_weight(s, want) for s in want]
+    for s, seg in zip(got, want):
+        pts = PointArray.of(seg.locations)
+        assert s.points.size == pts.size
+        for name in ("lon_deg", "lat_rad", "cos_lat", "t"):  # to the bit
+            assert getattr(s.points, name).tobytes() == getattr(pts, name).tobytes()
 
 
 # --- candidate extraction -------------------------------------------------------

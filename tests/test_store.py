@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import sys
 import tempfile
 import threading
@@ -23,15 +24,15 @@ from crowdtrace import (
     encode_segment,
     ingest,
     load_trajectory,
-    scan_all,
     st_query,
     storage_segments,
 )
 import crowdtrace.store as store
-from crowdtrace.store import expand_mbr, expand_time_range, st_read
+from crowdtrace.store import expand_time_range, st_read
 from crowdtrace.xz import KEY_HEAD, bin_of, encode_key, period_spans, st_scan_ranges
 from conftest import loc
-from reference import peek_header
+import reference
+from reference import ALL_KEYS, expand_mbr, peek_header, scan_all
 
 CFG = XzConfig(resolution=10)
 SEG = SegmentationConfig()
@@ -438,7 +439,7 @@ def _header_scan(backend, w, tr, theta_d, theta_t):
     window: the header tests, one record at a time, over the whole store."""
     boxes, t = store.expand_boxes(w, theta_d), expand_time_range(tr, theta_t)
     found = []
-    for at, (_, value) in enumerate(backend.scan(*store._ALL_KEYS)):
+    for at, (_, value) in enumerate(backend.scan(*ALL_KEYS)):
         if len(value) >= store._HEADER.size:
             min_lon, min_lat, max_lon, max_lat, st_, et = store._HEADER.unpack_from(value)
             box = MBR(min_lon, min_lat, max_lon, max_lat)
@@ -783,17 +784,20 @@ def test_st_query_decodes_only_header_survivors(tmp_path, monkeypatch):
     assert len(planned) > 2 * len(passing)
 
 
-def test_load_trajectory_decodes_only_its_records(monkeypatch):
+def test_load_trajectory_gathers_only_its_records(monkeypatch):
     trajectories = [Trajectory(f"t{i}", [loc(300.0 * i, 0, 0), loc(300.0 * i + 5000, 0, 700)])
                     for i in range(20)]
     backend, n = make_store(trajectories)
-    decoded, read = [], []
-    decode = store.decode_segment
-    monkeypatch.setattr(store, "decode_segment", lambda v: decoded.append(v) or decode(v))
-    monkeypatch.setattr(backend, "_read", lambda slot: read.append(slot) or MemoryBackend._read(backend, slot))
+    asked, gathered, read, decoded = [], [], [], []
+    records, points = backend.records, backend.points
+    monkeypatch.setattr(backend, "records", lambda at: asked.append(at.tolist()) or records(at))
+    monkeypatch.setattr(backend, "points", lambda starts, counts: gathered.append(counts.tolist()) or points(starts, counts))
+    monkeypatch.setattr(backend, "_read", lambda slot: read.append(slot))
+    monkeypatch.setattr(store, "decode_segment", lambda v: decoded.append(v))
     assert load_trajectory(backend, "t7") == trajectories[7]
-    assert len(decoded) == 2 and n == 40
-    assert len(read) == 2  # the id column finds its records; no other record is read
+    assert n == 40 and asked == [backend.positions_of("t7").tolist()] and len(asked[0]) == 2
+    assert gathered == [[1, 1]]  # the id column finds its records; one gather takes their points
+    assert read == decoded == []  # no record is read or decoded alone
 
 
 # --- grouping: st_read's columns -------------------------------------------------------------
@@ -854,3 +858,234 @@ def test_load_trajectory_roundtrip():
     backend, _ = make_store([traj])
     assert load_trajectory(backend, "a") == traj
     assert load_trajectory(backend, "missing") is None
+
+
+# --- the gather against the record-at-a-time oracles -------------------------------------
+
+_GATHER_CFG = XzConfig(resolution=8, period_len=3600)
+_GATHER_IDS = ["a", "b", "é", "a\x00"]
+
+
+def _raw_value(seg: Segment, traj_id: bytes, sid: bytes, count: int | None = None) -> bytes:
+    """``encode_segment`` with the id, the sid and the point count given as raw bytes and number."""
+    box = seg.mbr
+    return b"".join([store._HEADER.pack(box.min_lon, box.min_lat, box.max_lon, box.max_lat, seg.st, seg.et),
+                     store._LEN.pack(len(traj_id)), traj_id, store._LEN.pack(len(sid)), sid,
+                     store._COUNT.pack(len(seg.locations) if count is None else count),
+                     *(store._POINT.pack(p.lon, p.lat, p.t) for p in seg.locations)])
+
+
+@st.composite
+def _gather_puts(draw):
+    """Puts of segment records under their row keys, a sid recurring under
+    another key (a stale copy, sometimes naming another trajectory), with
+    overwrites that change a value's length, values cut short anywhere, a
+    count past the points, trailing bytes, and ids and sids that are not
+    UTF-8."""
+    puts = []
+    for _ in range(draw(st.integers(1, 14))):
+        tid = draw(st.sampled_from(_GATHER_IDS))
+        sid = f"{draw(st.sampled_from([tid] * 3 + _GATHER_IDS))}#{draw(st.integers(0, 2))}"
+        period = draw(st.integers(0, 1))
+        times = sorted(draw(st.lists(_OFFSETS, min_size=1, max_size=4)))
+        seg = Segment.build(sid, tid, [Location(draw(_GRID), draw(_GRID), 3600 * period + t) for t in times])
+        key, value = encode_key(seg, _GATHER_CFG).packed(), encode_segment(seg)
+        kind = draw(st.sampled_from(["whole"] * 6 + ["overwrite"] * 3 + ["cut", "count", "long", "bad id", "bad sid"]))
+        if kind == "overwrite" and puts:
+            key = draw(st.sampled_from([k for k, _ in puts]))
+        elif kind == "cut":
+            value = value[: draw(st.integers(0, len(value) - 1))]
+        elif kind == "count":
+            value = _raw_value(seg, tid.encode(), sid.encode(), len(seg.locations) + 1)
+        elif kind == "long":
+            value += b"trailing"
+        elif kind == "bad id":
+            value = _raw_value(seg, tid.encode() + b"\xff", sid.encode())
+        elif kind == "bad sid":
+            value = _raw_value(seg, tid.encode(), sid.encode() + b"\xc3")
+        puts.append((key, value))
+    return puts
+
+
+_NOWHERE = (MBR(100.0, 10.0, 100.001, 10.001), TimeRange(0, 10_000))  # a window that finds nothing
+
+
+def _outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _fields(got):
+    """A ``Retrieved`` as plain values, its heads and points to the bit."""
+    if not isinstance(got, store.Retrieved):
+        return got
+    return (got.traj_ids, got.runs.dtype, got.runs.tolist(), got.points.dtype, got.points.tobytes(),
+            got.heads, [[store._HEADER.pack(*h) for h in hs] for hs in got.heads], got.touches.tolist())
+
+
+def assert_gathers_agree(backend, windows, exclude_id):
+    for theta_d, theta_t in ((0.0, 0.0), (50.0, 120.0)):
+        args = (windows, theta_d, theta_t, backend, _GATHER_CFG)
+        want = _fields(_outcome(reference.st_read, *args, exclude_id=exclude_id))
+        assert _fields(_outcome(st_read, *args, exclude_id=exclude_id)) == want
+    for traj_id in _GATHER_IDS + ["missing", "\udcff"]:
+        assert _outcome(load_trajectory, backend, traj_id) == _outcome(reference.load_trajectory_decoded, backend, traj_id)
+
+
+@given(_gather_puts(), st.lists(st.one_of(_windows(), st.just(_NOWHERE)), max_size=3),
+       st.sampled_from([None, "a", "é", "missing", "\udcff"]), st.binary(max_size=9))
+@settings(max_examples=150, deadline=None)
+def test_gathers_equal_their_record_at_a_time_oracles(puts, windows, exclude_id, tail):
+    memory = MemoryBackend()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/segments.log"
+        with FileBackend(path) as disk:
+            for backend in (memory, disk):
+                for key, value in puts:
+                    backend.put(key, value)
+                assert_gathers_agree(backend, windows, exclude_id)
+        if tail:
+            with open(path, "ab") as fh:
+                fh.write(store._FRAME.pack(len(tail), 100) + tail)  # a torn frame
+        with FileBackend(path) as reopened:
+            assert_gathers_agree(reopened, windows, exclude_id)
+            for key, value in puts[::3]:  # overwrites over the replayed index, cutting a torn tail first
+                reopened.put(key, value + b"x")
+            assert_gathers_agree(reopened, windows, exclude_id)
+
+
+def _stale_sid_store(backend):
+    """``feed-update``'s probe shape: ``p#1`` stored under two keys, the
+    old copy left behind when the segment grew into another cell."""
+    cfg = CFG
+    first = Segment.build("p#1", "p", [loc(0, 0, 100), loc(10, 0, 200)])
+    grown = Segment.build("p#1", "p", [loc(0, 0, 100), loc(10, 0, 200), loc(30_000, 0, 900)])
+    assert encode_key(first, cfg).packed() != encode_key(grown, cfg).packed()
+    for seg in (Segment.build("p#0", "p", [loc(0, 0, 0), loc(5, 0, 50)]), first, grown,
+                Segment.build("q#0", "q", [loc(20, 0, 150), loc(25, 0, 160)])):
+        backend.put(encode_key(seg, cfg).packed(), encode_segment(seg))
+    return first, grown
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_gather_keeps_the_first_copy_of_a_stale_sid(tmp_path, kind):
+    backend = _open(kind, tmp_path)
+    first, grown = _stale_sid_store(backend)
+    both = (MBR(first.mbr.min_lon, first.mbr.min_lat, grown.mbr.max_lon, grown.mbr.max_lat), TimeRange(0, 1000))
+    far = (MBR(grown.mbr.max_lon, 39.9, grown.mbr.max_lon, 39.9), TimeRange(900, 900))  # the grown copy only
+    for windows in ([both], [far], [both, far], [far, both], [far, far, both]):
+        got = st_read(windows, 0.0, 0.0, backend, CFG)
+        assert _fields(got) == _fields(reference.st_read(windows, 0.0, 0.0, backend, CFG))
+        assert got.traj_ids[0] == "p" and got.touches[:, 0].all()
+    assert len(st_read([both], 0.0, 0.0, backend, CFG).heads[0]) == 2  # one copy of p#1
+    with pytest.raises(ValueError, match="not sorted by time"):  # the kept re-ingest fault
+        load_trajectory(backend, "p")
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_a_later_copy_of_a_sid_touches_nothing(tmp_path, kind):
+    """A window touches a trajectory through the first copy of each sid it
+    finds; a later copy of that sid, naming another trajectory, does not."""
+    backend = _open(kind, tmp_path)
+    here, there = ([loc(0, 0, 100), loc(10, 0, 160)], [loc(100_000, 0, 100), loc(100_010, 0, 160)])  # two cells
+    keys = [encode_key(Segment.build("s#0", "x", pts), CFG).packed() for pts in (here, there)]
+    assert keys[0] != keys[1]
+    first, later = (here, there) if keys[0] < keys[1] else (there, here)
+    segs = [Segment.build("s#0", "x", first), Segment.build("s#0", "y", later),
+            Segment.build("y#1", "y", [loc(0, 9000, 100), loc(5, 9000, 160)])]
+    for seg in segs:
+        backend.put(encode_key(seg, CFG).packed(), encode_segment(seg))
+    both = segs[0].mbr.union(segs[1].mbr)
+    windows = [(both, TimeRange(100, 160)), (segs[2].mbr, TimeRange(100, 160))]
+    got = st_read(windows, 0.0, 0.0, backend, CFG)
+    assert _fields(got) == _fields(reference.st_read(windows, 0.0, 0.0, backend, CFG))
+    assert got.traj_ids == ["x", "y"] and got.touches.tolist() == [[True, False], [False, True]]
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_gather_raises_what_the_oracle_raises(tmp_path, kind):
+    backend = _open(kind, tmp_path)
+    seg = Segment.build("s#0", "s", [loc(0, 0, 100), loc(10, 0, 160)])
+    whole = encode_segment(seg)
+    window = [(seg.mbr, TimeRange(100, 160))]
+    id_end = store._PEEK.size + 1
+    cases = [  # a cut inside the id length, the id, the sid length, the sid, the count and the points
+        (whole[:49], struct.error), (whole[:id_end], struct.error),
+        (whole[: id_end + 3], struct.error), (whole[: id_end + 8], struct.error),
+        (whole[:-1], ValueError), (_raw_value(seg, b"s", b"s#0", 3), ValueError),
+        (_raw_value(seg, b"\xff", b"s#0"), UnicodeDecodeError), (_raw_value(seg, b"s", b"s#\xff"), UnicodeDecodeError),
+    ]
+    for value, error in cases:
+        backend.put(encode_key(seg, _GATHER_CFG).packed(), value)
+        with pytest.raises(error) as raised:
+            st_read(window, 0.0, 0.0, backend, _GATHER_CFG)
+        assert _outcome(reference.st_read, window, 0.0, 0.0, backend, _GATHER_CFG) == (error, str(raised.value))
+        assert _outcome(load_trajectory, backend, "s") == _outcome(reference.load_trajectory_decoded, backend, "s")
+
+
+# --- the map's life -----------------------------------------------------------------------
+
+
+def _people(n: int, t0: int = 0) -> list[Trajectory]:
+    return [Trajectory(f"t{i}", [loc(40.0 * i, 0, t0 + 60 * i), loc(40.0 * i + 10, 5, t0 + 60 * i + 90)])
+            for i in range(n)]
+
+
+_EVERY_WINDOW = [(MBR(116.0, 39.5, 117.0, 40.5), TimeRange(0, 100_000))]
+
+
+def test_a_read_after_puts_past_the_map_remaps_it(tmp_path):
+    memory = MemoryBackend()
+    with FileBackend(str(tmp_path / "segments.log")) as disk:
+        for backend in (memory, disk):
+            ingest(_people(30), CFG, SEG, backend)
+        first = st_read(_EVERY_WINDOW, 0.0, 0.0, disk, CFG)
+        mapped = len(disk._map)
+        grown = [Trajectory("t3", [*_people(4)[3].locations, loc(130, 5, 400)])]  # a longer value under t3's key
+        for backend in (memory, disk):
+            ingest(_people(60, t0=50_000) + grown, CFG, SEG, backend)
+        got = st_read(_EVERY_WINDOW, 0.0, 0.0, disk, CFG)
+        assert len(disk._map) > mapped  # remade to cover the appends
+        assert _fields(got) == _fields(st_read(_EVERY_WINDOW, 0.0, 0.0, memory, CFG)) != _fields(first)
+        assert load_trajectory(disk, "t3") == load_trajectory(memory, "t3") == grown[0]
+
+
+def test_close_while_gathered_columns_are_alive(tmp_path):
+    with FileBackend(str(tmp_path / "segments.log")) as backend:
+        ingest(_people(10), CFG, SEG, backend)
+        got = st_read(_EVERY_WINDOW, 0.0, 0.0, backend, CFG)
+        traj = load_trajectory(backend, "t4")
+        points = got.points.copy()
+    assert backend._map is None  # closed: the gathered points are copies, no view of the map is left
+    assert got.points.tobytes() == points.tobytes() and len(got) == 10
+    assert traj == _people(10)[4]
+
+
+def test_a_put_after_a_torn_tail_drops_the_map(tmp_path):
+    path = tmp_path / "segments.log"
+    with FileBackend(str(path)) as backend:
+        ingest(_people(5), CFG, SEG, backend)
+    with open(path, "ab") as fh:
+        fh.write(b"\x07\x00\x00")  # a torn frame header
+    memory = MemoryBackend()
+    ingest(_people(8), CFG, SEG, memory)
+    with FileBackend(str(path)) as backend:
+        assert len(st_read(_EVERY_WINDOW, 0.0, 0.0, backend, CFG)) == 5  # maps the torn tail too
+        ingest(_people(8), CFG, SEG, backend)  # cuts the tail first
+        assert _fields(st_read(_EVERY_WINDOW, 0.0, 0.0, backend, CFG)) == _fields(
+            st_read(_EVERY_WINDOW, 0.0, 0.0, memory, CFG))
+
+
+def test_a_memory_backend_put_after_a_read():
+    backend = MemoryBackend()
+    ingest(_people(10), CFG, SEG, backend)
+    got = st_read(_EVERY_WINDOW, 0.0, 0.0, backend, CFG)
+    assert load_trajectory(backend, "t2") == _people(10)[2]
+    ingest(_people(20, t0=7_000), CFG, SEG, backend)  # grows the bytearray: no view of it may be left
+    assert len(st_read(_EVERY_WINDOW, 0.0, 0.0, backend, CFG)) == 20 and len(got) == 10
+    size = len(backend._values)
+    ingest(_people(20, t0=7_000), CFG, SEG, backend)  # the bytes every key holds: nothing is appended
+    assert len(backend._values) == size
