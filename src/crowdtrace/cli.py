@@ -303,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_join.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")
     p_join.add_argument("--query-csv", required=True, help="points CSV with the query set")
     _add_param_flags(p_join)
-    p_join.add_argument("--resolution", type=int, default=15, help="batch index quadtree depth")
-    p_join.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY)
+    p_join.add_argument("--resolution", type=int, default=15,
+                        help="quadtree depth of the cells that order query segments into scan sets")
+    p_join.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY,
+                        help="query segments per scan set, each set one store read (at least 1)")
     p_join.add_argument("--explain", action="store_true", help="append '#' counter lines")
     p_join.add_argument("--out", help="write CSV here instead of stdout")
     p_join.set_defaults(func=cmd_join)

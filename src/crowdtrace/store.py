@@ -766,14 +766,12 @@ def st_query(
 class Retrieved:
     """Stored trajectories that windows found, in id order, as columns:
     trajectory ``c``'s points, in time order, are ``points[runs[c]:runs[c + 1]]``
-    (``_POINT_DTYPE`` rows, copied out of the store's buffer), ``heads[c]``
-    holds the (box corners, st, et) of its segments, taken from the index's
-    header columns, and ``touches[i, c]`` is true when window ``i`` found it."""
+    (``_POINT_DTYPE`` rows, copied out of the store's buffer), and
+    ``touches[i, c]`` is true when window ``i`` found it."""
 
     traj_ids: list[str]
     runs: np.ndarray
     points: np.ndarray
-    heads: list[list[tuple]]
     touches: np.ndarray
 
     def __len__(self) -> int:
@@ -848,10 +846,8 @@ def st_read(
     order = _in_order(kept, recs.sids, recs.heads[4], owner)
 
     owners, firsts = np.unique(owner[order], return_index=True)
-    bounds = np.append(firsts, len(order)).tolist()
     counts = recs.counts[order]
-    runs = np.concatenate(([0], np.cumsum(counts)))[bounds]
-    heads = list(zip(*(column[order].tolist() for column in recs.heads)))
+    runs = np.concatenate(([0], np.cumsum(counts)))[np.append(firsts, len(order))]
     column_of = np.full(len(names), -1)
     column_of[owners] = np.arange(len(owners))
     touches = np.zeros((len(windows), len(owners)), bool)
@@ -859,8 +855,7 @@ def st_read(
         c = column_of[owner[at]]
         row[c[c >= 0]] = True
     return Retrieved([names[k].decode("utf-8") for k in owners.tolist()], runs,
-                     backend.points(recs.starts[order], counts),
-                     [heads[a:b] for a, b in zip(bounds, bounds[1:])], touches)
+                     backend.points(recs.starts[order], counts), touches)
 
 
 def load_trajectory(backend: StoreBackend, traj_id: str) -> Trajectory | None:

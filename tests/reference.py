@@ -12,10 +12,6 @@ bit) and skipped count. ``xz2_element`` is the quadtree descent that cell
 assignment was before it took closed form; ``crowdtrace.xz.xz2_cells`` must
 pick the same cell for every box.
 
-``sft_leaves`` is the quadtree of time trees the join used to build its scan
-sets from. ``crowdtrace.join.sft_build`` must return the same leaves in the
-same order.
-
 ``irq`` is the single-query engine as it scored before it went columnar: one
 ``st_query`` per query segment, decoded ``Segment`` objects grouped per
 candidate, and one ``segment_ir`` call per (query segment, candidate) pair,
@@ -23,8 +19,10 @@ with the pruning rules run candidate by candidate. ``crowdtrace.query.irq``
 must return the same results and counters, compared with ``==``. Its one
 change from that engine: a candidate's touched dwell weight is summed in
 query-segment order, not in the iteration order of a set of sids, which
-``PYTHONHASHSEED`` changes. ``irjq`` is the join as it scored before: one
-``segment_ir`` call per (query segment, candidate) pair of each scan set.
+``PYTHONHASHSEED`` changes. ``irjq`` is the join in the same per-pair
+form: for each ``sft_build`` chunk of query segments, one ``st_query`` per
+segment's window, and one ``segment_ir`` call per (query segment, candidate)
+pair.
 
 ``replay`` is ``FileBackend``'s log replay as one loop over frames, taking
 each value's header and trajectory id in turn; the chunked columnar replay
@@ -47,13 +45,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import groupby, islice
 
 import numpy as np
 
 from crowdtrace.metric import PointArray, QueryParams, segment_ir, span_weight
-from crowdtrace.model import MBR, WORLD, Location, Segment, SegmentationConfig, TimeRange, Trajectory
+from crowdtrace.model import MBR, Location, Segment, SegmentationConfig, TimeRange, Trajectory
 from crowdtrace.query import ALL_LEMMAS, COUNTER_KEYS
 from crowdtrace.store import (
     _COUNT, _FRAME, _HEADER, _LEN, _LOG_MAGIC, _NO_HEADER, _PEEK, _POINT, _POINT_DTYPE, REPLAY_CHUNK, Retrieved,
@@ -199,91 +197,6 @@ def frames(trajectories, xz_cfg: XzConfig, seg_cfg: SegmentationConfig) -> list[
 
 
 @dataclass
-class SftQuadNode:
-    """Quadtree node over the world; occupied max-depth cells hold segments."""
-
-    cell: MBR
-    depth: int
-    children: dict[int, "SftQuadNode"] = field(default_factory=dict)
-    entries: list[Segment] = field(default_factory=list)
-
-    def quad_leaves(self):
-        if self.entries:
-            yield self
-        # visit children north-east first, matching the search order
-        for digit in (3, 1, 0, 2):
-            child = self.children.get(digit)
-            if child is not None:
-                yield from child.quad_leaves()
-
-
-def _child_cell(cell: MBR, digit: int) -> MBR:
-    mid_lon = (cell.min_lon + cell.max_lon) / 2.0
-    mid_lat = (cell.min_lat + cell.max_lat) / 2.0
-    if digit & 1:
-        lon_lo, lon_hi = mid_lon, cell.max_lon
-    else:
-        lon_lo, lon_hi = cell.min_lon, mid_lon
-    if digit >> 1:
-        lat_lo, lat_hi = mid_lat, cell.max_lat
-    else:
-        lat_lo, lat_hi = cell.min_lat, mid_lat
-    return MBR(lon_lo, lat_lo, lon_hi, lat_hi)
-
-
-def ttree_leaves(segments: list[Segment], capacity: int, max_leaf_span: int) -> list[list[Segment]]:
-    """Leaves of a time tree: insert in start-time order, merge overlapping
-    ranges, split at the median when a leaf exceeds the capacity or span."""
-    leaves: list[list[Segment]] = []
-    for seg in sorted(segments, key=lambda s: (s.st, s.sid)):
-        if leaves and seg.st <= max(s.et for s in leaves[-1]):
-            leaves[-1].append(seg)
-            stack = [leaves.pop()]
-            while stack:
-                group = stack.pop()
-                span = max(s.et for s in group) - min(s.st for s in group)
-                if len(group) > 1 and (len(group) > capacity or span > max_leaf_span):
-                    mid = len(group) // 2
-                    stack.append(group[mid:])
-                    stack.append(group[:mid])
-                else:
-                    leaves.append(group)
-            leaves.sort(key=lambda g: g[0].st)
-        else:
-            leaves.append([seg])
-    return leaves
-
-
-def sft_leaves(
-    segments: list[Segment], resolution: int, capacity: int, max_leaf_span: int
-) -> list[tuple[TimeRange, MBR, list[Segment]]]:
-    """Descend a quadtree by each box's min corner, then read every occupied
-    cell's time-tree leaves in visit order, with their envelopes."""
-    root = SftQuadNode(cell=WORLD, depth=0)
-    for seg in segments:
-        node = root
-        while node.depth < resolution:
-            mid_lon = (node.cell.min_lon + node.cell.max_lon) / 2.0
-            mid_lat = (node.cell.min_lat + node.cell.max_lat) / 2.0
-            digit = int(seg.mbr.min_lon >= mid_lon) | (int(seg.mbr.min_lat >= mid_lat) << 1)
-            child = node.children.get(digit)
-            if child is None:
-                child = SftQuadNode(cell=_child_cell(node.cell, digit), depth=node.depth + 1)
-                node.children[digit] = child
-            node = child
-        node.entries.append(seg)
-    out = []
-    for quad_leaf in root.quad_leaves():
-        for group in ttree_leaves(quad_leaf.entries, capacity, max_leaf_span):
-            tr = TimeRange(min(s.st for s in group), max(s.et for s in group))
-            box = group[0].mbr
-            for s in group[1:]:
-                box = box.union(s.mbr)
-            out.append((tr, box, group))
-    return out
-
-
-@dataclass
 class CandidateState:
     """Bookkeeping for one candidate while its segments are being scored."""
 
@@ -393,57 +306,52 @@ def irq(
 
 def irjq(query_set, params, backend, cfg, seg_cfg=None, *, resolution=15, capacity=64,
          prune=True, counters=None):
-    """The per-pair join: same signature and outputs as ``crowdtrace.irjq``."""
-    from crowdtrace.join import JOIN_COUNTER_KEYS, _mbr_gap_lower_bound_m, sft_build
+    """The per-pair join: same signature and outputs as ``crowdtrace.irjq``.
+    Each ``sft_build`` chunk's windows find their candidates by one
+    ``st_query`` each: a window touches the trajectories of the first copies
+    of the sids it finds, and a sid keeps the copy of the last window to find
+    it, as ``st_read`` documents."""
+    from crowdtrace.join import JOIN_COUNTER_KEYS, sft_build
 
     seg_cfg = seg_cfg or SegmentationConfig()
-    weights: dict[str, float] = {}
-    all_segments: list[Segment] = []
+    segs: list[Segment] = []
+    weights: list[float] = []
     for q in query_set:
         q_segments = segment(filter_noise(q, seg_cfg), seg_cfg)
-        for s in q_segments:
-            weights[s.sid] = span_weight(s, q_segments)
-        all_segments.extend(q_segments)
-
-    def out_of_reach(qseg, cand):
-        if max(qseg.st, cand.st) - min(qseg.et, cand.et) > params.theta_t:
-            return True
-        return _mbr_gap_lower_bound_m(qseg.mbr, cand.mbr) > params.theta_d
+        segs += q_segments
+        weights += [span_weight(s, q_segments) for s in q_segments]
 
     removed: set[tuple[str, str]] = set()
-    scores: dict[tuple[str, str], dict[str, float]] = {}
+    scores: dict[tuple[str, str], dict[int, float]] = {}  # pair -> query segment's place -> weighted score
     tally = dict.fromkeys(JOIN_COUNTER_KEYS, 0)
-    for tr, box, entries in sft_build(all_segments, resolution, capacity, cfg.period_seconds):
-        candidates = st_query(box, tr, params.theta_d, params.theta_t, backend, cfg)
-        tally["scan_sets"] += 1
+    for chunk in sft_build(segs, resolution, capacity):
+        hits = [st_query(segs[k].mbr, TimeRange(segs[k].st, segs[k].et), params.theta_d, params.theta_t,
+                         backend, cfg) for k in chunk]
+        kept = {cand.sid: cand for found in hits for cand in found}
         by_traj: dict[str, list[Segment]] = {}
-        for cand in candidates:
+        for cand in kept.values():
             by_traj.setdefault(cand.traj_id, []).append(cand)
-        for qseg in entries:
-            for traj_id in sorted(by_traj):
-                if traj_id == qseg.traj_id:
-                    continue
+        tally["scan_sets"] += 1
+        for k, found in zip(chunk, hits):
+            qseg, w = segs[k], weights[k]
+            for traj_id in sorted({cand.traj_id for cand in found} & by_traj.keys()):
                 pair = (qseg.traj_id, traj_id)
-                if prune and pair in removed:
+                if traj_id == qseg.traj_id or prune and pair in removed:
                     continue
-                if all(out_of_reach(qseg, c) for c in by_traj[traj_id]):
-                    continue
-                points = _points(by_traj[traj_id])
-                w = weights[qseg.sid]
-                irp = segment_ir(qseg, points, params) * w
+                irp = segment_ir(qseg, _points(by_traj[traj_id]), params) * w
                 if prune and irp < params.theta - 1.0 + w:
                     removed.add(pair)
                     tally["pairs_removed"] += 1
                     continue
-                scores.setdefault(pair, {})[qseg.sid] = irp
+                scores.setdefault(pair, {})[k] = irp
 
     results = []
     for pair in sorted(scores):
         if pair in removed:
             continue
         total = 0.0
-        for sid in sorted(scores[pair]):
-            total += scores[pair][sid]
+        for k in sorted(scores[pair]):  # in query-segment order
+            total += scores[pair][k]
         total = min(1.0, total)  # guard float drift above the bound of 1
         if total > params.theta:
             results.append((pair[0], pair[1], total))
@@ -570,7 +478,7 @@ def st_read(windows, theta_d, theta_t, backend, cfg, exclude_id=None) -> Retriev
         row[[index[r[0]] for r in first.values() if r[0] in index]] = True
     runs = np.cumsum([0] + [sum(len(r[3]) for r in g) // _POINT.size for g in groups])
     points = np.frombuffer(b"".join(r[3] for r in ordered), _POINT_DTYPE)
-    return Retrieved(list(index), runs, points, [[r[2] for r in g] for g in groups], touches)
+    return Retrieved(list(index), runs, points, touches)
 
 
 def load_trajectory_decoded(backend, traj_id: str) -> Trajectory | None:

@@ -22,7 +22,6 @@ import crowdtrace.metric as metric
 import crowdtrace.query as query_mod
 import reference
 from crowdtrace import (
-    MBR,
     FileBackend,
     Location,
     MemoryBackend,
@@ -40,7 +39,6 @@ from crowdtrace import (
     segment,
     segment_ir,
 )
-from crowdtrace.join import _mbr_gap_lower_bound_m
 from crowdtrace.metric import PointArray, segment_irs
 from conftest import build_workload, loc, random_trajectory
 
@@ -192,17 +190,6 @@ def test_contact_across_the_antimeridian(q_lon, c_lon):
         joined = irjq([q], P, backend, cfg, SEG)
         assert [(qid, tid) for qid, tid, _ in joined] == [("q", "c")]
         assert joined[0][2] == pytest.approx(want[0][1], abs=1e-9)
-
-
-def test_gap_bound_takes_the_short_way_round():
-    # 10 degrees wide on each side of the antimeridian: they touch across it
-    east, west = MBR(170.0, 0.0, 180.0, 1.0), MBR(-180.0, 0.0, -170.0, 1.0)
-    assert _mbr_gap_lower_bound_m(east, west) == 0.0
-    near, far = MBR(170.0, 0.0, 179.9999, 0.0), MBR(-179.9999, 0.0, -170.0, 0.0)
-    assert 22.0 < _mbr_gap_lower_bound_m(near, far) < 22.3  # 0.0002 degrees at the equator
-    # boxes apart the short way keep their plain gap
-    plain = _mbr_gap_lower_bound_m(MBR(0.0, 0.0, 1.0, 0.0), MBR(2.0, 0.0, 3.0, 0.0))
-    assert plain == pytest.approx(111_195.0, rel=1e-4)
 
 
 # --- exact equality with the per-pair reference ----------------------------------------

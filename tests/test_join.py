@@ -1,27 +1,29 @@
-import random
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference
+import crowdtrace.join as join_mod
 from crowdtrace import (
+    GenConfig,
     Location,
     MemoryBackend,
     QueryParams,
     SegmentationConfig,
     Segment,
-    TimeRange,
     Trajectory,
     XzConfig,
+    generate,
     ingest,
     irjq,
     irjq_unpruned,
     irq,
-    segment,
     sft_build,
 )
-from crowdtrace.join import time_leaves
+from crowdtrace.join import _cell_key
+from crowdtrace.query import query_segments
+from crowdtrace.store import st_read
 from conftest import build_workload, loc
 
 P = QueryParams()
@@ -33,59 +35,20 @@ def _seg(sid, east, t0, t1):
     return Segment.build(sid, sid.split("#")[0], [loc(east, 0, t0), loc(east, 0, t1)])
 
 
-# --- index structure ---------------------------------------------------------------
+# --- scan sets ------------------------------------------------------------------------
 
 
 def test_single_segment_tree():
-    leaves = sft_build([_seg("a#0", 0, 0, 60)], resolution=10)
-    assert len(leaves) == 1
-    tr, _, entries = leaves[0]
-    assert tr == TimeRange(0, 60)
-    assert [s.sid for s in entries] == ["a#0"]
+    assert sft_build([_seg("a#0", 0, 0, 60)], resolution=10) == [[0]]
 
 
-def test_ttree_merges_overlapping_ranges():
-    segs = [_seg("a#0", 0, 0, 100), _seg("a#1", 3, 50, 150), _seg("a#2", 6, 120, 200)]
-    leaves = time_leaves(segs, capacity=8, max_leaf_span=10_000)
-    assert len(leaves) == 1
-    assert leaves[0][0] == TimeRange(0, 200)
-
-
-def test_ttree_keeps_disjoint_ranges_apart():
-    segs = [_seg("a#0", 0, 0, 100), _seg("a#1", 3, 500, 600)]
-    assert len(time_leaves(segs, capacity=8, max_leaf_span=10_000)) == 2
-
-
-def test_ttree_splits_overlapping_but_overlong_ranges():
-    # overlapping in time, but the merged span exceeds the limit: two leaves
-    segs = [_seg("a#0", 0, 0, 900), _seg("a#1", 3, 800, 1700)]
-    leaves = time_leaves(segs, capacity=8, max_leaf_span=1000)
-    assert len(leaves) == 2
-    assert all(tr.end - tr.start <= 1000 for tr, _, _ in leaves)
-
-
-def test_ttree_splits_on_capacity():
-    segs = [_seg(f"a#{i}", float(i), 10 * i, 10 * i + 500) for i in range(10)]
-    leaves = time_leaves(segs, capacity=4, max_leaf_span=100_000)
-    assert all(len(entries) <= 4 for _, _, entries in leaves)
-    assert sum(len(entries) for _, _, entries in leaves) == 10
-
-
-def test_every_segment_reachable_exactly_once():
-    rng = random.Random(8)
-    segs = []
-    for i in range(200):
-        t0 = rng.randrange(0, 20_000)
-        segs.append(
-            _seg(f"t{i}#0", rng.uniform(-50_000, 50_000), t0, t0 + rng.randrange(0, 800))
-        )
-    seen = []
-    for tr, box, entries in sft_build(segs, resolution=9, capacity=8, max_leaf_span=3600):
-        for entry in entries:
-            seen.append(entry.sid)
-            assert box.contains(entry.mbr)
-            assert tr.start <= entry.st and entry.et <= tr.end
-    assert sorted(seen) == sorted(s.sid for s in segs)
+def test_chunks_visit_cells_north_east_first():
+    corners = {"sw": (-10.0, -10.0), "ne": (10.0, 10.0), "nw": (-10.0, 10.0), "se": (10.0, -10.0)}
+    segs = [Segment.build(f"{name}#0", name, [Location(lon, lat, 10)]) for name, (lon, lat) in corners.items()]
+    # later start times come after earlier ones within a cell
+    segs.append(Segment.build("ne2#0", "ne2", [Location(10.0, 10.0, 5)]))
+    chunks = sft_build(segs, resolution=1, capacity=2)
+    assert [[segs[k].sid for k in chunk] for chunk in chunks] == [["ne2#0", "ne#0"], ["se#0", "sw#0"], ["nw#0"]]
 
 
 # corners on the quadrant midlines of the first levels, signed zeros included
@@ -114,19 +77,18 @@ def segment_sets(draw):
     return segs
 
 
-@given(
-    segment_sets(),
-    st.one_of(st.sampled_from([0, 1, 15, 40]), st.integers(0, 24)),
-    st.integers(1, 64),
-    st.sampled_from([100, 1800, 3600, 86_400]),
-)
+@given(segment_sets(), st.one_of(st.sampled_from([0, 1, 15, 40]), st.integers(0, 24)), st.integers(1, 64))
 @settings(max_examples=300, deadline=None)
-def test_sft_build_matches_quadtree_reference(segs, resolution, capacity, max_leaf_span):
-    got = sft_build(segs, resolution, capacity, max_leaf_span)
-    want = reference.sft_leaves(segs, resolution, capacity, max_leaf_span)
-    assert [(tr, box, [s.sid for s in entries]) for tr, box, entries in got] == [
-        (tr, box, [s.sid for s in entries]) for tr, box, entries in want
-    ]
+def test_every_segment_reachable_exactly_once(segs, resolution, capacity):
+    chunks = sft_build(segs, resolution, capacity)
+    order = [k for chunk in chunks for k in chunk]
+    assert sorted(order) == list(range(len(segs)))
+    # full chunks of capacity, but for the last
+    assert [len(chunk) for chunk in chunks[:-1]] == [capacity] * (len(chunks) - 1)
+    assert 1 <= len(chunks[-1]) <= capacity
+    # by cell in visit order, then start time, then input order
+    keys = [(_cell_key(segs[k].mbr, resolution), segs[k].st, k) for k in order]
+    assert keys == sorted(keys)
 
 
 # --- join vs single query -------------------------------------------------------------
@@ -199,17 +161,51 @@ def test_unpruned_identical_results():
     assert pruned_counters["scan_sets"] == plain_counters["scan_sets"]
 
 
-def test_scan_sets_equal_leaf_count():
+@pytest.mark.parametrize("capacity", [1, 3, 64])
+def test_one_st_read_per_chunk(capacity):
     w = build_workload(seed=109, n_traj=150, contact_fraction=0.1)
     query_set = w.trajectories[:6]
-    all_segments = []
-    for q in query_set:
-        all_segments.extend(segment(q, w.seg_cfg))
-    n_leaves = len(sft_build(all_segments, resolution=15, max_leaf_span=w.xz_cfg.period_seconds))
+    n_segments = sum(len(query_segments(q, w.seg_cfg)[0]) for q in query_set)
+    windows: list[int] = []
+
+    def counted(chunk_windows, *args, **kwargs):
+        windows.append(len(chunk_windows))
+        return st_read(chunk_windows, *args, **kwargs)
+
     counters: dict[str, int] = {}
-    irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, resolution=15, counters=counters)
-    assert counters["scan_sets"] == n_leaves
-    assert n_leaves <= len(all_segments)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(join_mod, "st_read", counted)
+        got = irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, capacity=capacity, counters=counters)
+    assert len(windows) == counters["scan_sets"] == math.ceil(n_segments / capacity)
+    assert max(windows) <= capacity and sum(windows) == n_segments
+    assert got == irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, capacity=1)
+
+
+def _long_query_store():
+    """Ten queries of up to 12 segments each, and the store they were drawn
+    from; on it, summing a pair's scores in sid order (``#10`` before ``#2``)
+    instead of query-segment order changes a total."""
+    population, _ = generate(GenConfig(seed=8, n_traj=150, points_max=200, contact_fraction=0.15))
+    backend = MemoryBackend()
+    ingest(population, CFG, SEG, backend)
+    query_set = sorted(population, key=lambda q: len(query_segments(q, SEG)[0]))[-10:]
+    assert len(query_segments(query_set[-1], SEG)[0]) == 12
+    return query_set, backend, CFG
+
+
+def _generated_store(seed):
+    w = build_workload(seed=seed, n_traj=300, contact_fraction=0.15)
+    return w.trajectories[:12], w.backend, w.xz_cfg
+
+
+@pytest.mark.parametrize("store", [lambda: _generated_store(101), lambda: _generated_store(103), _long_query_store],
+                         ids=["generated-101", "generated-103", "long-queries"])
+def test_join_equals_irq_bit_for_bit(store):
+    query_set, backend, xz_cfg = store()
+    for capacity in (5, 64):
+        joined = irjq(query_set, P, backend, xz_cfg, SEG, capacity=capacity)
+        for q in query_set:
+            assert restrict(joined, q.id) == irq(q, P, backend, xz_cfg, SEG), (q.id, capacity)
 
 
 def test_resolution_invariance():

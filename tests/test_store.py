@@ -823,7 +823,8 @@ def test_group_single_trajectory():
     assert grouped.traj_ids == ["a"]
     assert grouped.runs.tolist() == [0, 2]
     assert grouped.points["t"].tolist() == [0, 700]
-    assert [head[4:] for head in grouped.heads[0]] == [(0, 0), (700, 700)]
+    # each record's points, in start-time order
+    assert grouped.points.tolist() == [(p.lon, p.lat, p.t) for s in segs for p in s.locations]
 
 
 def test_group_three_candidate_trajectories():
@@ -847,7 +848,7 @@ def test_group_is_permutation_invariant():
     shuffled = segs[:]
     rng.shuffle(shuffled)
     want, got = _read_all(_put_all(segs)), _read_all(_put_all(shuffled))
-    assert got.traj_ids == want.traj_ids and got.heads == want.heads
+    assert got.traj_ids == want.traj_ids
     assert got.runs.tolist() == want.runs.tolist()
     assert got.points.tobytes() == want.points.tobytes()
     assert want.traj_ids == sorted(f"t{i % 3}_{i}" for i in range(10))
@@ -919,11 +920,11 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _fields(got):
-    """A ``Retrieved`` as plain values, its heads and points to the bit."""
+    """A ``Retrieved`` as plain values, its points to the bit."""
     if not isinstance(got, store.Retrieved):
         return got
     return (got.traj_ids, got.runs.dtype, got.runs.tolist(), got.points.dtype, got.points.tobytes(),
-            got.heads, [[store._HEADER.pack(*h) for h in hs] for hs in got.heads], got.touches.tolist())
+            got.touches.tolist())
 
 
 def assert_gathers_agree(backend, windows, exclude_id):
@@ -980,7 +981,11 @@ def test_gather_keeps_the_first_copy_of_a_stale_sid(tmp_path, kind):
         got = st_read(windows, 0.0, 0.0, backend, CFG)
         assert _fields(got) == _fields(reference.st_read(windows, 0.0, 0.0, backend, CFG))
         assert got.traj_ids[0] == "p" and got.touches[:, 0].all()
-    assert len(st_read([both], 0.0, 0.0, backend, CFG).heads[0]) == 2  # one copy of p#1
+    # p#0, then one copy of p#1: the first in key order
+    kept = min((first, grown), key=lambda seg: encode_key(seg, CFG).packed())
+    got = st_read([both], 0.0, 0.0, backend, CFG)
+    assert got.runs.tolist()[:2] == [0, 2 + len(kept.locations)]
+    assert got.points["t"][: got.runs[1]].tolist() == [0, 50] + [p.t for p in kept.locations]
     with pytest.raises(ValueError, match="not sorted by time"):  # the kept re-ingest fault
         load_trajectory(backend, "p")
 
