@@ -1,11 +1,12 @@
 """Query many patients at once without hammering the store.
 
 Running the single query per patient reads the store once per patient. The
-batch join instead orders all query segments by the quadtree cell of their
-min corner, then by start time, cuts that order into chunks of at most
-``capacity`` segments, and issues ONE read per chunk over its segments'
-windows, so nearby patients share I/O. The results are identical to the
-per-patient queries, bit for bit.
+batch join instead orders the patients by the quadtree cell of their first
+segment's min corner, then by its start time, cuts that order into chunks of
+at most ``capacity`` patients, and issues ONE read per chunk over all of its
+patients' segment windows, so nearby patients share I/O. Each patient is then
+ranked by the single query's own scoring loop, so the results and the pruning
+counters are identical to the per-patient queries, bit for bit.
 """
 
 from crowdtrace import (
@@ -30,13 +31,14 @@ ingest(population, xz_cfg, seg_cfg, backend)
 
 query_set = population[:12]
 params = QueryParams(theta=0.3)
-capacity = 16
+capacity = 5
 
-all_segments = []
-for q in query_set:
-    all_segments.extend(query_segments(q, seg_cfg)[0])
-chunks = sft_build(all_segments, resolution=15, capacity=capacity)
-print(f"{len(query_set)} queries -> {len(all_segments)} segments -> {len(chunks)} chunks of at most {capacity}")
+cuts = query_segments(query_set, seg_cfg)  # every query cut in one kernel pass
+n_segments = sum(len(segs) for segs, _ in cuts)
+chunks = sft_build([segs[0] for segs, _ in cuts], resolution=15, capacity=capacity)
+print(f"{len(query_set)} queries ({n_segments} segments) -> {len(chunks)} chunks of at most {capacity} queries")
+for chunk in chunks:
+    print(f"  chunk: {', '.join(query_set[k].id for k in chunk)}")
 
 counters: dict[str, int] = {}
 joined = irjq(query_set, params, backend, xz_cfg, seg_cfg, capacity=capacity, counters=counters)
@@ -46,10 +48,13 @@ print(f"pairs above {params.theta}: {len(joined)}")
 for qid, tid, ir in joined[:6]:
     print(f"  {qid} ~ {tid}  ir={ir:.9f}")
 
-# the join is just a batched execution plan: per query it matches irq exactly
+# the join is just a batched execution plan: per query it ranks exactly as irq does
+single_counters: dict[str, int] = {}
 for q in query_set:
-    single = irq(q, params, backend, xz_cfg, seg_cfg)
+    single = irq(q, params, backend, xz_cfg, seg_cfg, counters=single_counters)
     batched = [(tid, ir) for qid, tid, ir in joined if qid == q.id]
     assert batched == single
+assert counters == {"scan_sets": len(chunks), **single_counters}
 print(f"\nper-query engine agrees on all {len(query_set)} queries, bit for bit")
+print("and so do the counters: " + ", ".join(f"{key}={n}" for key, n in single_counters.items()))
 print(f"it would have made {len(query_set)} reads, one per query; the join made {counters['scan_sets']}")

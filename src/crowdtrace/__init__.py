@@ -7,7 +7,7 @@ time (``irq``) or for a whole query set in one batched pass (``irjq``).
 """
 
 from .gen import GenConfig, generate, write_labels
-from .join import PairKey, irjq, irjq_unpruned, sft_build
+from .join import irjq, irjq_unpruned, sft_build
 from .metric import (
     QueryParams,
     exhaustive_irq,
@@ -71,7 +71,6 @@ __all__ = [
     "Location",
     "MBR",
     "MemoryBackend",
-    "PairKey",
     "QueryParams",
     "STKey",
     "ScanRange",

@@ -1,38 +1,33 @@
-"""Batch contact join: the single query's scoring over reads that many query segments share.
+"""Batch contact join: the single query's ranking over reads that many queries share.
 
-Every query is cut into segments as ``irq`` cuts it (``query_segments``).
-``sft_build`` orders all of them by the quadtree cell, ``resolution`` levels
-deep, that holds the min corner of their box, cells in visit order, then by
-start time, and cuts that order into chunks of at most ``capacity``
-segments. Each chunk is one scan set: ONE ``st_read`` over its segments' own
-windows, so nearby query segments share I/O, and ``touches[i, c]`` is the
-reach test of segment ``i``'s window.
+Every query is cut into segments as ``irq`` cuts it, all of them in one pass
+(``query_segments``). ``sft_build`` orders the queries by the quadtree cell,
+``resolution`` levels deep, that holds the min corner of their first
+segment's box, cells in visit order, then by that segment's start time, and
+cuts that order into chunks of at most ``capacity`` queries. Each chunk is one
+scan set: ONE ``st_read`` over all of its queries' segment windows, so nearby
+queries share I/O, and ``touches[i, c]`` is the reach test of window ``i``.
 
-Each segment is scored in one bounded matrix pass against the candidates its
-window touched, its own trajectory left out. Pruning rule 2 (see ``query``)
-removes whole trajectory pairs. A pair's total is summed in query-segment
-order, as ``irq`` sums it, so on a store holding one copy of each sid the
-results equal the single query's, bit for bit.
+Each query is then ranked by ``query.rank`` over its own rows of the chunk's
+read, as ``irq`` ranks it: the same rules, counters and float order, so on a
+store holding one copy of each sid the results equal the single query's, bit
+for bit.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 # filter_noise, segment, segment_ir and st_query stay bound here: perfbench's tracer wraps them in this module
-from .metric import PointArray, QueryParams, segment_ir, segment_irs
+from .metric import PointArray, QueryParams, segment_ir
 from .model import MBR, WORLD, Segment, SegmentationConfig, TimeRange, Trajectory, filter_noise, segment
-from .query import QuerySegment, query_segments
+from .query import ALL_LEMMAS, COUNTER_KEYS, QuerySegment, query_segments, rank
 from .store import StoreBackend, st_query, st_read
 from .xz import XzConfig
 
-PairKey = tuple[str, str]  # (query trajectory id, candidate trajectory id)
-
 DEFAULT_LEAF_CAPACITY = 64
 
-JOIN_COUNTER_KEYS = ("scan_sets", "pairs_scored", "pairs_removed")
+JOIN_COUNTER_KEYS = ("scan_sets", *COUNTER_KEYS)
 
 # visit rank of each quadrant digit (bit 0: east half, bit 1: north half):
 # north-east first, then south-east, south-west, north-west
@@ -91,65 +86,32 @@ def irjq(
 ) -> list[tuple[str, str, float]]:
     """Every (query id, stored id, score) pair strictly above the threshold.
 
-    One ``st_read`` per scan set finds the candidates of all query segments
-    in it. Per-pair scores equal the single-query engine's; output is sorted
-    by query id, then descending score, then candidate id.
+    One ``st_read`` per scan set finds the candidates of all its queries.
+    Per-query results and counters equal the single-query engine's; output
+    is sorted by query id, then descending score, then candidate id.
+    ``prune=False`` runs no pruning rule.
     """
-    seg_cfg = seg_cfg or SegmentationConfig()
-
     ids = [q.id for q in query_set]
     if len(set(ids)) != len(ids):
         raise ValueError("query set contains duplicate trajectory ids")
 
-    segs: list[QuerySegment] = []
-    weights: list[float] = []
-    owners: list[str] = []  # by segment: its query's id
-    for q in query_set:
-        q_segments, q_weights = query_segments(q, seg_cfg)
-        segs += q_segments
-        weights += q_weights
-        owners += [q.id] * len(q_segments)
-
-    removed: set[PairKey] = set()
-    scores: dict[PairKey, list[tuple[int, float]]] = {}  # pair -> (query segment's place, weighted score)
-    tally = dict.fromkeys(JOIN_COUNTER_KEYS, 0)
-
-    for chunk in sft_build(segs, resolution, capacity):
-        windows = [(segs[k].mbr, TimeRange(segs[k].st, segs[k].et)) for k in chunk]
+    cuts = query_segments(query_set, seg_cfg or SegmentationConfig())
+    chunks = sft_build([segs[0] for segs, _ in cuts], resolution, capacity)
+    tally = {} if counters is None else counters
+    tally["scan_sets"] = tally.get("scan_sets", 0) + len(chunks)
+    lemmas = ALL_LEMMAS if prune else frozenset()
+    ranked: dict[str, list[tuple[str, float]]] = {}
+    for chunk in chunks:
+        windows = [(s.mbr, TimeRange(s.st, s.et)) for k in chunk for s in cuts[k][0]]
         found = st_read(windows, params.theta_d, params.theta_t, backend, cfg)
-        tally["scan_sets"] += 1
         points = PointArray.of(found.points)
-        for k, touch in zip(chunk, found.touches):
-            qid, w = owners[k], weights[k]
-            live = np.array([
-                c for c in np.flatnonzero(touch).tolist()
-                if found.traj_ids[c] != qid and not (prune and (qid, found.traj_ids[c]) in removed)
-            ], np.intp)
-            irps = segment_irs(segs[k].points, points, found.runs[live], found.runs[live + 1], params) * w
-            for c, irp in zip(live.tolist(), irps.tolist()):
-                pair = (qid, found.traj_ids[c])
-                if prune and irp < params.theta - 1.0 + w:
-                    removed.add(pair)
-                    tally["pairs_removed"] += 1
-                else:
-                    scores.setdefault(pair, []).append((k, irp))
-
-    results: list[tuple[str, str, float]] = []
-    for pair, parts in scores.items():
-        if pair in removed:
-            continue
-        total = 0.0
-        for _, irp in sorted(parts):  # in query-segment order, from 0.0, as irq sums
-            total += irp
-        total = min(1.0, total)  # guard float drift above the bound of 1
-        if total > params.theta:
-            results.append((*pair, total))
-    tally["pairs_scored"] = len(scores)
-    results.sort(key=lambda r: (r[0], -r[2], r[1]))
-    if counters is not None:
-        for key, n in tally.items():
-            counters[key] = counters.get(key, 0) + n
-    return results
+        row = 0
+        for k in chunk:
+            segs, weights = cuts[k]
+            touches = found.touches[row : row + len(segs)]
+            ranked[ids[k]] = rank(ids[k], segs, weights, found, points, touches, params, lemmas, tally)
+            row += len(segs)
+    return [(qid, tid, ir) for qid in sorted(ranked) for tid, ir in ranked[qid]]
 
 
 def irjq_unpruned(
@@ -163,7 +125,7 @@ def irjq_unpruned(
     capacity: int = DEFAULT_LEAF_CAPACITY,
     counters: dict[str, int] | None = None,
 ) -> list[tuple[str, str, float]]:
-    """``irjq`` with pair pruning disabled; same results, more work."""
+    """``irjq`` with every pruning rule disabled; same results, more work."""
     return irjq(
         query_set,
         params,

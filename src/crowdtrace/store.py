@@ -818,16 +818,15 @@ def _first_copies(sids: list[bytes], found: list[np.ndarray]) -> tuple[list[np.n
 
 def st_read(
     windows: Sequence[tuple[MBR, TimeRange]], theta_d: float, theta_t: float,
-    backend: StoreBackend, cfg: XzConfig, exclude_id: str | None = None,
+    backend: StoreBackend, cfg: XzConfig,
 ) -> Retrieved:
     """``st_query`` of every window, with no record decoded alone: the
     records found are sorted by (trajectory id, st, sid) and the points of
     all of them gathered by one index (``points``); no ``Location`` is built.
 
     A sid keeps the copy that the last window to find it found first in key
-    order, as when later ``st_query`` results overwrite earlier ones. The
-    trajectory ``exclude_id`` is left out. A found record that ``_unpack``
-    refuses raises what it raises.
+    order, as when later ``st_query`` results overwrite earlier ones. A found
+    record that ``_unpack`` refuses raises what it raises.
     """
     found = [_window_positions(w, tr, theta_d, theta_t, backend, cfg) for w, tr in windows]
     union = np.unique(np.concatenate(found)) if found else np.empty(0, np.intp)
@@ -841,8 +840,6 @@ def st_read(
     names = sorted(set(recs.ids))
     rank = dict(zip(names, range(len(names))))
     owner = np.fromiter(map(rank.__getitem__, recs.ids), np.intp, len(union))  # by place: its id's rank
-    if exclude_id is not None:  # encoded as is, so an id no record holds matches none
-        kept = kept[owner[kept] != rank.get(exclude_id.encode("utf-8", "surrogatepass"), -1)]
     order = _in_order(kept, recs.sids, recs.heads[4], owner)
 
     owners, firsts = np.unique(owner[order], return_index=True)

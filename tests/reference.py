@@ -19,10 +19,10 @@ with the pruning rules run candidate by candidate. ``crowdtrace.query.irq``
 must return the same results and counters, compared with ``==``. Its one
 change from that engine: a candidate's touched dwell weight is summed in
 query-segment order, not in the iteration order of a set of sids, which
-``PYTHONHASHSEED`` changes. ``irjq`` is the join in the same per-pair
-form: for each ``sft_build`` chunk of query segments, one ``st_query`` per
-segment's window, and one ``segment_ir`` call per (query segment, candidate)
-pair.
+``PYTHONHASHSEED`` changes. ``irjq`` is the join in the same per-candidate
+form: for each ``sft_build`` chunk of queries, one ``st_query`` per segment
+window of its queries, and each query ranked as ``irq`` ranks it over the
+chunk's candidates.
 
 ``replay`` is ``FileBackend``'s log replay as one loop over frames, taking
 each value's header and trajectory id in turn; the chunked columnar replay
@@ -266,6 +266,32 @@ def _evaluate(traj_id, points, sids, q_segments, weights, params, lemmas) -> Can
     return state
 
 
+def _rank(q_segments, candidates, params, lemmas, tally) -> list[tuple[str, float]]:
+    """``_evaluate`` of each candidate (traj_id -> (points, sids of the query
+    segments that retrieved it)), its counts added to ``tally``; the
+    (traj_id, score) pairs above the threshold, by descending score then id."""
+    weights = {s.sid: span_weight(s, q_segments) for s in q_segments}
+    results = []
+    for traj_id, (points, sids) in candidates.items():
+        state = _evaluate(traj_id, points, sids, q_segments, weights, params, lemmas)
+        tally["candidates"] += 1
+        if state.pruned_by is not None:
+            tally[f"lemma{state.pruned_by}"] += 1
+            continue
+        tally["evaluated"] += 1
+        total = min(1.0, state.total_ir)  # guard float drift above the bound of 1
+        if total > params.theta:
+            results.append((state.traj_id, total))
+    results.sort(key=lambda r: (-r[1], r[0]))
+    return results
+
+
+def _add(counters, tally) -> None:
+    if counters is not None:
+        for key, n in tally.items():
+            counters[key] = counters.get(key, 0) + n
+
+
 def irq(
     q: Trajectory,
     params: QueryParams,
@@ -277,89 +303,50 @@ def irq(
     counters: dict[str, int] | None = None,
 ) -> list[tuple[str, float]]:
     """The per-candidate engine: same signature and outputs as ``crowdtrace.irq``."""
-    lemmas = frozenset(lemmas)
     seg_cfg = seg_cfg or SegmentationConfig()
     q_segments = segment(filter_noise(q, seg_cfg), seg_cfg)
-    weights = {s.sid: span_weight(s, q_segments) for s in q_segments}
     candidates = extract_candidates(q_segments, params, backend, cfg, exclude_id=q.id)
-    states = [
-        _evaluate(traj_id, points, sids, q_segments, weights, params, lemmas)
-        for traj_id, (points, sids) in candidates.items()
-    ]
     tally = dict.fromkeys(COUNTER_KEYS, 0)
-    tally["candidates"] = len(states)
-    results = []
-    for state in states:
-        if state.pruned_by is not None:
-            tally[f"lemma{state.pruned_by}"] += 1
-            continue
-        tally["evaluated"] += 1
-        total = min(1.0, state.total_ir)  # guard float drift above the bound of 1
-        if total > params.theta:
-            results.append((state.traj_id, total))
-    results.sort(key=lambda r: (-r[1], r[0]))
-    if counters is not None:
-        for key, n in tally.items():
-            counters[key] = counters.get(key, 0) + n
+    results = _rank(q_segments, candidates, params, frozenset(lemmas), tally)
+    _add(counters, tally)
     return results
 
 
 def irjq(query_set, params, backend, cfg, seg_cfg=None, *, resolution=15, capacity=64,
          prune=True, counters=None):
-    """The per-pair join: same signature and outputs as ``crowdtrace.irjq``.
-    Each ``sft_build`` chunk's windows find their candidates by one
-    ``st_query`` each: a window touches the trajectories of the first copies
-    of the sids it finds, and a sid keeps the copy of the last window to find
-    it, as ``st_read`` documents."""
+    """The per-candidate join: same signature and outputs as ``crowdtrace.irjq``.
+    ``sft_build`` orders the queries by their first segment and cuts them
+    into chunks of ``capacity``. A chunk's windows find their candidates by
+    one ``st_query`` each: a window touches the trajectories of the first
+    copies of the sids it finds, and a sid keeps the copy of the last window
+    to find it, as ``st_read`` documents. Each query of the chunk is then
+    ranked as ``irq`` ranks it, over the chunk's copies of the trajectories
+    its own windows touched."""
     from crowdtrace.join import JOIN_COUNTER_KEYS, sft_build
 
     seg_cfg = seg_cfg or SegmentationConfig()
-    segs: list[Segment] = []
-    weights: list[float] = []
-    for q in query_set:
-        q_segments = segment(filter_noise(q, seg_cfg), seg_cfg)
-        segs += q_segments
-        weights += [span_weight(s, q_segments) for s in q_segments]
-
-    removed: set[tuple[str, str]] = set()
-    scores: dict[tuple[str, str], dict[int, float]] = {}  # pair -> query segment's place -> weighted score
+    lemmas = ALL_LEMMAS if prune else frozenset()
+    cut = [segment(filter_noise(q, seg_cfg), seg_cfg) for q in query_set]
+    chunks = sft_build([q_segments[0] for q_segments in cut], resolution, capacity)
     tally = dict.fromkeys(JOIN_COUNTER_KEYS, 0)
-    for chunk in sft_build(segs, resolution, capacity):
-        hits = [st_query(segs[k].mbr, TimeRange(segs[k].st, segs[k].et), params.theta_d, params.theta_t,
-                         backend, cfg) for k in chunk]
-        kept = {cand.sid: cand for found in hits for cand in found}
+    tally["scan_sets"] = len(chunks)
+    results = []
+    for chunk in chunks:
+        hits = [[st_query(s.mbr, TimeRange(s.st, s.et), params.theta_d, params.theta_t, backend, cfg)
+                 for s in cut[k]] for k in chunk]
+        kept = {cand.sid: cand for q_hits in hits for found in q_hits for cand in found}
         by_traj: dict[str, list[Segment]] = {}
         for cand in kept.values():
             by_traj.setdefault(cand.traj_id, []).append(cand)
-        tally["scan_sets"] += 1
-        for k, found in zip(chunk, hits):
-            qseg, w = segs[k], weights[k]
-            for traj_id in sorted({cand.traj_id for cand in found} & by_traj.keys()):
-                pair = (qseg.traj_id, traj_id)
-                if traj_id == qseg.traj_id or prune and pair in removed:
-                    continue
-                irp = segment_ir(qseg, _points(by_traj[traj_id]), params) * w
-                if prune and irp < params.theta - 1.0 + w:
-                    removed.add(pair)
-                    tally["pairs_removed"] += 1
-                    continue
-                scores.setdefault(pair, {})[k] = irp
-
-    results = []
-    for pair in sorted(scores):
-        if pair in removed:
-            continue
-        total = 0.0
-        for k in sorted(scores[pair]):  # in query-segment order
-            total += scores[pair][k]
-        total = min(1.0, total)  # guard float drift above the bound of 1
-        if total > params.theta:
-            results.append((pair[0], pair[1], total))
-    tally["pairs_scored"] = len(scores)
+        for k, q_hits in zip(chunk, hits):
+            qid, touching = query_set[k].id, {}
+            for s, found in zip(cut[k], q_hits):
+                for traj_id in {cand.traj_id for cand in found} & by_traj.keys() - {qid}:
+                    touching.setdefault(traj_id, set()).add(s.sid)
+            candidates = {traj_id: (_points(by_traj[traj_id]), touching[traj_id]) for traj_id in sorted(touching)}
+            results += [(qid, traj_id, ir) for traj_id, ir in _rank(cut[k], candidates, params, lemmas, tally)]
     results.sort(key=lambda r: (r[0], -r[2], r[1]))
-    if counters is not None:
-        for key, n in tally.items():
-            counters[key] = counters.get(key, 0) + n
+    _add(counters, tally)
     return results
 
 
@@ -460,17 +447,16 @@ def expand_mbr(mbr: MBR, pad_m: float) -> MBR:
     return expand_boxes(mbr, pad_m)[0]
 
 
-def st_read(windows, theta_d, theta_t, backend, cfg, exclude_id=None) -> Retrieved:
+def st_read(windows, theta_d, theta_t, backend, cfg) -> Retrieved:
     """The window read, each record found read and unpacked alone: a sid
-    keeps the copy that the last window to find it found first in key order;
-    the trajectory ``exclude_id`` is left out."""
+    keeps the copy that the last window to find it found first in key order."""
     found = [_window_positions(w, tr, theta_d, theta_t, backend, cfg) for w, tr in windows]
     union = np.unique(np.concatenate(found)) if found else np.empty(0, np.intp)
     records = dict(zip(union.tolist(), map(_unpack, backend.read(union))))
     # per window, the first copy of each sid in key order
     firsts = [{records[p][1]: records[p] for p in reversed(at.tolist())} for at in found]
     kept = {sid: rec for first in firsts for sid, rec in first.items()}
-    ordered = sorted((r for r in kept.values() if r[0] != exclude_id), key=lambda r: (r[0], r[2][4], r[1]))
+    ordered = sorted(kept.values(), key=lambda r: (r[0], r[2][4], r[1]))
     groups = [list(g) for _, g in groupby(ordered, key=lambda r: r[0])]
     index = {g[0][0]: c for c, g in enumerate(groups)}
     touches = np.zeros((len(windows), len(groups)), bool)

@@ -243,7 +243,7 @@ def test_join_explain_lists_every_join_counter(tmp_path, capsys):
     )
     assert code == 0
     comment = [l.split("=")[0] for l in out.splitlines() if l.startswith("#")]
-    assert comment == ["# scan_sets", "# pairs_scored", "# pairs_removed"]
+    assert comment == ["# scan_sets", "# candidates", "# evaluated", "# lemma1", "# lemma2", "# lemma3", "# lemma4"]
 
 
 def test_join_leaf_capacity_one_runs(tmp_path, capsys):

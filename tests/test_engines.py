@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crowdtrace.join as join_mod
 import crowdtrace.metric as metric
 import crowdtrace.query as query_mod
 import reference
@@ -65,8 +64,7 @@ def _scoring(run, budget=None) -> tuple[object, int]:
         if budget is not None:
             m.setattr(metric, "SCORE_CELLS", budget)
         m.setattr(reference, "segment_ir", counting(reference.segment_ir, lambda a: 1))
-        for module in (query_mod, join_mod):
-            m.setattr(module, "segment_irs", counting(module.segment_irs, lambda a: len(a[2])))
+        m.setattr(query_mod, "segment_irs", counting(query_mod.segment_irs, lambda a: len(a[2])))
         return run(), pairs
 
 

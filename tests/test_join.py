@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from crowdtrace import (
     QueryParams,
     SegmentationConfig,
     Segment,
+    TimeRange,
     Trajectory,
     XzConfig,
     generate,
@@ -156,7 +158,8 @@ def test_unpruned_identical_results():
     a = irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, counters=pruned_counters)
     b = irjq_unpruned(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, counters=plain_counters)
     assert a == b
-    assert plain_counters["pairs_removed"] == 0
+    assert all(plain_counters[f"lemma{rule}"] == 0 for rule in range(1, 5))
+    assert plain_counters["evaluated"] == plain_counters["candidates"] == pruned_counters["candidates"]
     # extraction happens before pruning, so both issue the same lookups
     assert pruned_counters["scan_sets"] == plain_counters["scan_sets"]
 
@@ -165,19 +168,24 @@ def test_unpruned_identical_results():
 def test_one_st_read_per_chunk(capacity):
     w = build_workload(seed=109, n_traj=150, contact_fraction=0.1)
     query_set = w.trajectories[:6]
-    n_segments = sum(len(query_segments(q, w.seg_cfg)[0]) for q in query_set)
-    windows: list[int] = []
+    windows = [[(s.mbr, TimeRange(s.st, s.et)) for s in segs] for segs, _ in query_segments(query_set, w.seg_cfg)]
+    assert sum(map(len, windows)) > len(query_set)  # some query has several windows
+    reads: list[list] = []
 
     def counted(chunk_windows, *args, **kwargs):
-        windows.append(len(chunk_windows))
+        reads.append(list(chunk_windows))
         return st_read(chunk_windows, *args, **kwargs)
 
     counters: dict[str, int] = {}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(join_mod, "st_read", counted)
         got = irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, capacity=capacity, counters=counters)
-    assert len(windows) == counters["scan_sets"] == math.ceil(n_segments / capacity)
-    assert max(windows) <= capacity and sum(windows) == n_segments
+    assert len(reads) == counters["scan_sets"] == math.ceil(len(query_set) / capacity)
+    # all of a query's windows are in one read, and every window is read once
+    for q_windows in windows:
+        holders = [read for read in reads if set(q_windows) & set(read)]
+        assert len(holders) == 1 and set(q_windows) <= set(holders[0])
+    assert Counter(x for read in reads for x in read) == Counter(x for q_windows in windows for x in q_windows)
     assert got == irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, capacity=1)
 
 
@@ -188,8 +196,9 @@ def _long_query_store():
     population, _ = generate(GenConfig(seed=8, n_traj=150, points_max=200, contact_fraction=0.15))
     backend = MemoryBackend()
     ingest(population, CFG, SEG, backend)
-    query_set = sorted(population, key=lambda q: len(query_segments(q, SEG)[0]))[-10:]
-    assert len(query_segments(query_set[-1], SEG)[0]) == 12
+    n_segments = {q.id: len(segs) for q, (segs, _) in zip(population, query_segments(population, SEG))}
+    query_set = sorted(population, key=lambda q: n_segments[q.id])[-10:]
+    assert n_segments[query_set[-1].id] == 12
     return query_set, backend, CFG
 
 
@@ -206,6 +215,21 @@ def test_join_equals_irq_bit_for_bit(store):
         joined = irjq(query_set, P, backend, xz_cfg, SEG, capacity=capacity)
         for q in query_set:
             assert restrict(joined, q.id) == irq(q, P, backend, xz_cfg, SEG), (q.id, capacity)
+
+
+@pytest.mark.parametrize("store", [lambda: _generated_store(107), _long_query_store],
+                         ids=["generated-107", "long-queries"])
+def test_join_counters_equal_summed_irq_counters(store):
+    query_set, backend, xz_cfg = store()
+    want: dict[str, int] = {}
+    single = {q.id: irq(q, P, backend, xz_cfg, SEG, counters=want) for q in query_set}
+    assert want["candidates"] > want["evaluated"]  # some rule pruned
+    for capacity in (1, 5, 64):
+        counters: dict[str, int] = {}
+        joined = irjq(query_set, P, backend, xz_cfg, SEG, capacity=capacity, counters=counters)
+        for q in query_set:
+            assert restrict(joined, q.id) == single[q.id], (q.id, capacity)
+        assert counters == {"scan_sets": math.ceil(len(query_set) / capacity), **want}, capacity
 
 
 def test_resolution_invariance():

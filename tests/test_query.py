@@ -50,7 +50,7 @@ def assert_results_match(got, want, tol=1e-9):
 def test_query_segments_equal_the_segments_of_the_filtered_query(seed, spread, t_spread):
     q = random_trajectory(random.Random(seed), "q", n_max=40, spread_m=spread, t_spread=t_spread)
     want = segment(filter_noise(q, SEG), SEG)
-    got, weights = query_segments(q, SEG)
+    [(got, weights)] = query_segments([q], SEG)
     assert [(s.mbr, s.st, s.et) for s in got] == [(s.mbr, s.st, s.et) for s in want]
     assert weights == [span_weight(s, want) for s in want]
     for s, seg in zip(got, want):
@@ -58,6 +58,28 @@ def test_query_segments_equal_the_segments_of_the_filtered_query(seed, spread, t
         assert s.points.size == pts.size
         for name in ("lon_deg", "lat_rad", "cos_lat", "t"):  # to the bit
             assert getattr(s.points, name).tobytes() == getattr(pts, name).tobytes()
+
+
+def _cut_bits(cut):
+    """A query's segments and weights as plain values, its points to the bit."""
+    q_segments, weights = cut
+    points = [tuple(getattr(s.points, name).tobytes() for name in ("lon_deg", "lat_rad", "cos_lat", "t"))
+              for s in q_segments]
+    return [(s.mbr, s.st, s.et) for s in q_segments], points, weights
+
+
+def test_batched_query_segments_equal_per_query_cuts():
+    rng = random.Random(5)
+    queries = [random_trajectory(rng, f"q{i}", n_max=40, spread_m=spread, t_spread=t_spread)
+               for i, (spread, t_spread) in enumerate([(50.0, 60), (400.0, 1200), (20_000.0, 20_000)] * 3)]
+    # a 100 km jump in 10 s, which the noise gate drops
+    queries.append(Trajectory("spike", [loc(0, 0, 0), loc(100_000, 0, 10), loc(10, 0, 60), loc(20, 0, 120)]))
+    assert len(filter_noise(queries[-1], SEG)) < len(queries[-1])
+    batched = query_segments(queries, SEG)
+    assert len(batched) == len(queries)
+    for q, cut in zip(queries, batched):
+        assert _cut_bits(cut) == _cut_bits(query_segments([q], SEG)[0]), q.id
+    assert query_segments([], SEG) == []
 
 
 # --- candidate extraction -------------------------------------------------------
@@ -80,7 +102,7 @@ def test_extract_candidates_two_region_layout():
 
     q_segments = segment(q, SEG)
     assert [s.sid for s in q_segments] == ["q#0", "q#1"]
-    cands = extract_candidates(q_segments, P, backend, CFG, exclude_id="q")
+    cands = extract_candidates(q_segments, P, backend, CFG)
     assert cands.traj_ids == ["t1", "t2", "t3"]
     # one row per query segment, one column per candidate
     assert cands.touches.tolist() == [[True, True, False], [True, False, True]]
@@ -88,18 +110,22 @@ def test_extract_candidates_two_region_layout():
     assert cands.runs.tolist() == [0, 2, 3, 4]
 
 
-def test_extract_candidates_excludes_own_copy():
+def test_ranking_excludes_own_copy():
     q = Trajectory("q", [loc(0, 0, 0), loc(0, 0, 60)])
-    backend = store_of([q])
-    cands = extract_candidates(segment(q, SEG), P, backend, CFG, exclude_id="q")
-    assert cands.traj_ids == [] and len(cands.points) == 0
+    twin = Trajectory("twin", q.locations)
+    backend = store_of([q, twin])
+    assert extract_candidates(segment(q, SEG), P, backend, CFG).traj_ids == ["q", "twin"]
+    counters: dict[str, int] = {}
+    [(tid, ir)] = irq(q, P, backend, CFG, SEG, counters=counters)
+    assert tid == "twin" and ir == pytest.approx(1.0, abs=1e-12)
+    assert counters["candidates"] == 1
 
 
 def test_candidates_cover_every_scoring_trajectory():
     w = build_workload(seed=3, n_traj=120)
     q = w.patient
     q_segments = segment(q, w.seg_cfg)
-    cands = extract_candidates(q_segments, P, w.backend, w.xz_cfg, exclude_id=q.id)
+    cands = extract_candidates(q_segments, P, w.backend, w.xz_cfg)
     positive = {tid for tid, _ in exhaustive_irq(q, w.others(q), P, w.seg_cfg)}
     assert positive <= set(cands.traj_ids)
 

@@ -927,19 +927,17 @@ def _fields(got):
             got.touches.tolist())
 
 
-def assert_gathers_agree(backend, windows, exclude_id):
+def assert_gathers_agree(backend, windows):
     for theta_d, theta_t in ((0.0, 0.0), (50.0, 120.0)):
         args = (windows, theta_d, theta_t, backend, _GATHER_CFG)
-        want = _fields(_outcome(reference.st_read, *args, exclude_id=exclude_id))
-        assert _fields(_outcome(st_read, *args, exclude_id=exclude_id)) == want
+        assert _fields(_outcome(st_read, *args)) == _fields(_outcome(reference.st_read, *args))
     for traj_id in _GATHER_IDS + ["missing", "\udcff"]:
         assert _outcome(load_trajectory, backend, traj_id) == _outcome(reference.load_trajectory_decoded, backend, traj_id)
 
 
-@given(_gather_puts(), st.lists(st.one_of(_windows(), st.just(_NOWHERE)), max_size=3),
-       st.sampled_from([None, "a", "é", "missing", "\udcff"]), st.binary(max_size=9))
+@given(_gather_puts(), st.lists(st.one_of(_windows(), st.just(_NOWHERE)), max_size=3), st.binary(max_size=9))
 @settings(max_examples=150, deadline=None)
-def test_gathers_equal_their_record_at_a_time_oracles(puts, windows, exclude_id, tail):
+def test_gathers_equal_their_record_at_a_time_oracles(puts, windows, tail):
     memory = MemoryBackend()
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/segments.log"
@@ -947,15 +945,15 @@ def test_gathers_equal_their_record_at_a_time_oracles(puts, windows, exclude_id,
             for backend in (memory, disk):
                 for key, value in puts:
                     backend.put(key, value)
-                assert_gathers_agree(backend, windows, exclude_id)
+                assert_gathers_agree(backend, windows)
         if tail:
             with open(path, "ab") as fh:
                 fh.write(store._FRAME.pack(len(tail), 100) + tail)  # a torn frame
         with FileBackend(path) as reopened:
-            assert_gathers_agree(reopened, windows, exclude_id)
+            assert_gathers_agree(reopened, windows)
             for key, value in puts[::3]:  # overwrites over the replayed index, cutting a torn tail first
                 reopened.put(key, value + b"x")
-            assert_gathers_agree(reopened, windows, exclude_id)
+            assert_gathers_agree(reopened, windows)
 
 
 def _stale_sid_store(backend):
