@@ -26,6 +26,7 @@ from .store import StoreBackend, st_query, st_read
 from .xz import XzConfig
 
 DEFAULT_LEAF_CAPACITY = 64
+MAX_RESOLUTION = 64  # past about 54 halvings the world box's float midpoints stop moving
 
 JOIN_COUNTER_KEYS = ("scan_sets", *COUNTER_KEYS)
 
@@ -38,8 +39,7 @@ def _cell_key(box: MBR, resolution: int) -> int:
     """Visit-order key of the depth-``resolution`` cell holding the box's min corner.
 
     Each level halves the cell at its midpoint and appends one base-4 digit,
-    so sorting keys visits cells depth-first in quadrant rank order. Python
-    ints are unbounded, so any depth works.
+    so sorting keys visits cells depth-first in quadrant rank order.
     """
     lon_lo, lat_lo, lon_hi, lat_hi = WORLD.min_lon, WORLD.min_lat, WORLD.max_lon, WORLD.max_lat
     key = 0
@@ -68,6 +68,8 @@ def sft_build(
     (ties keep their input order), and cut into chunks of at most ``capacity``."""
     if capacity < 1:
         raise ValueError(f"leaf capacity must be at least 1, got {capacity}")
+    if not 0 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in [0, {MAX_RESOLUTION}], got {resolution}")
     order = sorted(range(len(segments)), key=lambda k: (_cell_key(segments[k].mbr, resolution), segments[k].st))
     return [order[k : k + capacity] for k in range(0, len(order), capacity)]
 

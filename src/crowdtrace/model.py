@@ -327,11 +327,6 @@ class Tracks:
         ids = list(compress(self.ids, np.diff(ends).tolist()))
         return Tracks(ids, self.lon[keep], self.lat[keep], self.t[keep], np.unique(ends))
 
-    def trajectories(self) -> list[Trajectory]:
-        points = list(map(Location, self.lon.tolist(), self.lat.tolist(), self.t.tolist()))
-        bounds = self.offsets.tolist()
-        return [Trajectory(tid, points[a:b]) for tid, a, b in zip(self.ids, bounds, bounds[1:])]
-
 
 def _gate(cols: Tracks, max_speed: float) -> np.ndarray | None:
     """``filter_noise`` over a batch: the keep mask over its rows, or None

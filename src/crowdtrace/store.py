@@ -1,27 +1,31 @@
 """Ordered key-value storage of encoded segments, and the exact window query.
 
-Two interchangeable backends satisfy the same contract: ``put(key, value)``,
-``scan(low, high)`` yielding keys in strict byte order within [low, high),
-``refine``, the key-order positions of the records in key ranges whose
-segment header meets a window, ``positions_of``, those of the records of one
-trajectory, ``read``, the values at such positions, and ``records`` and
-``points``, their fields and point blocks as columns. Both are one
-``SortedIndex``: sorted keys over slots, each slot's fixed 48-byte header
-(box, st, et) and trajectory id kept beside it, and both also kept in key
-order, as numpy columns, rebuilt by the first read after a new key and
-patched in place by an overwrite. Each slot also keeps where its value and
-its point block lie in one buffer, and how many points the block holds. The
-backends differ only in that buffer: ``MemoryBackend`` appends its values to
-a ``bytearray``; ``FileBackend`` appends them to a single-file log, replayed
-on open a chunk of frames at a time, which appends nothing for a put of the
-bytes a key already holds, and reads them through a read-only map of it.
+Two interchangeable backends satisfy the same contract: ``put(key, value)``
+and ``put_batch(items)``, ``scan(low, high)`` yielding keys in strict byte
+order within [low, high), ``refine``, the key-order positions of the records
+in key ranges whose segment header meets a window, ``positions_of``, those of
+the records of one trajectory, ``read``, the values at such positions, and
+``records`` and ``points``, their fields and point blocks as columns. Both
+are one ``SortedIndex`` over one buffer that holds a log: a magic, then
+length-prefixed (key, value) frames. ``put_batch`` appends a batch's frames
+at once, leaving out a put of the bytes a key already holds, and one columnar
+indexer takes every frame into the index, whether just written or replayed:
+each frame takes the next slot, which keeps where its value and point block
+lie in the buffer, how many points the block holds, its fixed 48-byte header
+(box, st, et) and its trajectory id, and its key's slot becomes that one.
+Readers see the keys, headers and ids in key order, as numpy columns, rebuilt
+by the first read after a write. The backends differ only in where the
+buffer lives: ``MemoryBackend`` keeps it in a ``bytearray``; ``FileBackend``
+in a single-file log, replayed on open a chunk of frames at a time, and reads
+it through a read-only map.
 
 ``ingest`` hands trajectories, as lon/lat/t columns (``Tracks``), to the
 columnar kernel of ``model`` in batches of about ``BATCH_POINTS`` points; one
 kernel pass gates noise, cuts stay-point segments, splits them at period
 boundaries and takes their boxes. Each segment's key and record are written
 from those columns, with every cell code of a batch computed at once, and
-segments are put in input order. No ``Location`` or ``Segment`` is built.
+a batch's segments go to one ``put_batch`` in input order. No ``Location``
+or ``Segment`` is built.
 
 ``st_query`` expands a window by the spatial/temporal reach. A key starts
 with its shard and period, so the records of the window's periods are one
@@ -85,6 +89,8 @@ MAX_SUPPORTED_LAT = 85.0  # window padding is only exact below this latitude
 class StoreBackend(Protocol):
     def put(self, key: bytes, value: bytes) -> None: ...
 
+    def put_batch(self, items: Iterable[tuple[bytes, bytes]]) -> None: ...
+
     def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]: ...
 
     def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> np.ndarray: ...
@@ -110,55 +116,31 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _COUNT = struct.Struct("<I")  # after the sid: the number of points that follow
 _POINT = struct.Struct("<ddq")
 _POINT_DTYPE = np.dtype([("lon", "<f8"), ("lat", "<f8"), ("t", "<i8")])  # _POINT, as columns
-
-
-def _id_field(value: bytes) -> bytes | None:
-    """The raw bytes of a value's length-prefixed trajectory id, or None for
-    a value too short to hold that field."""
-    if len(value) < _PEEK.size:
-        return None
-    end = _PEEK.size + _LEN.unpack_from(value, _HEADER.size)[0]
-    return value[_PEEK.size : end] if len(value) >= end else None
-
-
-def _point_block(value: bytes, size: int) -> tuple[int, int]:
-    """Where the point block of a ``size``-byte value starts in it, and how
-    many points it holds; a count of -1 when the value is too short for its
-    id, sid, count or points, which ``_unpack`` refuses. ``value`` holds the
-    value's bytes at least up to its count field."""
-    if size >= _PEEK.size:
-        sid_len_at = _PEEK.size + _LEN.unpack_from(value, _HEADER.size)[0]
-        if size >= sid_len_at + _LEN.size:
-            count_at = sid_len_at + _LEN.size + _LEN.unpack_from(value, sid_len_at)[0]
-            if size >= count_at + _COUNT.size:
-                count = _COUNT.unpack_from(value, count_at)[0]
-                if size >= count_at + _COUNT.size + count * _POINT.size:
-                    return count_at + _COUNT.size, count
-    return 0, -1
+_FRAME = struct.Struct("<II")  # a frame's key and value lengths, then the key, then the value
+_LOG_MAGIC = b"CTLOG1\n"  # a log's first bytes, before its frames
+REPLAY_CHUNK = 1 << 18  # bytes one positional read takes while a log is replayed
 
 
 class _KeyOrder(NamedTuple):
-    """The index in key order: the sorted keys, their slots, each slot's
-    place among them, each header field as one contiguous column
-    (``_HEADER_DTYPE`` order) and the trajectory ids (``_id_field``, an
-    object column)."""
+    """The index in key order: the sorted keys, their slots, each header
+    field as one contiguous column (``_HEADER_DTYPE`` order) and the raw
+    trajectory ids (an object column)."""
 
     keys: list[bytes]
     slots: np.ndarray
-    places: np.ndarray  # by slot
     columns: tuple[np.ndarray, ...]
     ids: np.ndarray
 
 
 class Records(NamedTuple):
     """Records at key-order positions, as columns: their raw trajectory ids
-    and sids, their header fields (``_HEADER_DTYPE`` order), and where each
-    one's point block starts in the backend's buffer and how many points it
-    holds (``points`` takes them)."""
+    and sids, their start times, and where each one's point block starts in
+    the backend's buffer and how many points it holds (``points`` takes
+    them)."""
 
     ids: list[bytes]
     sids: list[bytes]
-    heads: tuple[np.ndarray, ...]
+    st: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
 
@@ -182,57 +164,106 @@ def _meets(field: Callable[[int], np.ndarray], w: MBR, t: TimeRange) -> np.ndarr
 class SortedIndex:
     """The sorted key index both backends share.
 
-    A key owns one slot for life; a new key takes the next one. A put to the
-    key replaces the slot's value and the header bytes and trajectory id kept
-    for it, and where the value and its point block lie in the backend's
-    buffer (``_buffer``), which a subclass keeps. Readers see the index in
-    key order (``_order``), rebuilt after a new key; a put to a key it holds
-    writes the new header and id into its key-order columns too, so no
-    reader sees a stale one. Every numpy view of the buffer or of a per-slot
-    column is gone before the call that made it returns, so puts may grow
-    them and a map may be closed. Scans must not interleave with writes.
+    Each slot holds one frame of the backend's buffer (``_buffer``), which a
+    subclass keeps: where its value and the value's point block lie in the
+    buffer, how many points the block holds, and the value's header bytes and
+    trajectory id. Every frame indexed (``_index``), written or replayed,
+    takes the next slot and gives it to its key, so an overwritten frame
+    leaves an unused slot behind, and a live index equals the one its buffer
+    replays into. ``put_batch`` appends a batch's frames to the buffer at
+    once (``_append``) and indexes them. Readers see the index in key order
+    (``_order``), rebuilt by the first read after a frame is indexed. Every
+    numpy view of the buffer or of a per-slot column is gone before the call
+    that made it returns, so puts may grow them and a map may be closed.
+    Scans must not interleave with writes.
     """
 
     def __init__(self) -> None:
         self._slot_of: dict[bytes, int] = {}
         self._headers = bytearray()  # _HEADER.size bytes a slot
-        self._ids: list[bytes | None] = []  # by slot: ``_id_field`` of the value
+        self._ids: list[bytes | None] = []  # by slot: the value's raw trajectory id; None if too short for it
         self._offsets = array("q")  # by slot: where the value starts in the buffer
         self._lengths = array("I")
         self._points = array("q")  # where its point block starts in the buffer
-        self._counts = array("q")  # how many points the block holds; -1 if ``_point_block`` finds none
-        self._sorted: _KeyOrder | None = None  # gone with a new key
+        self._counts = array("q")  # how many points the block holds; -1 if the value is too short for them
+        self._sorted: _KeyOrder | None = None  # gone with an indexed frame
 
-    def _record(self, key: bytes, value: bytes, offset: int) -> None:
-        """Give the key's slot the header, id and point block of ``value``,
-        which lies at ``offset`` in the buffer."""
-        head = value[: _HEADER.size] if len(value) >= _HEADER.size else _NO_HEADER
-        traj_id = _id_field(value)
-        at, count = _point_block(value, len(value))
-        slot = self._slot_of.get(key)
-        if slot is None:
-            self._slot_of[key] = len(self._ids)
-            self._headers += head
-            self._ids.append(traj_id)
-            self._offsets.append(offset)
-            self._lengths.append(len(value))
-            self._points.append(offset + at)
-            self._counts.append(count)
-            self._sorted = None
-            return
-        self._headers[slot * _HEADER.size : (slot + 1) * _HEADER.size] = head
-        self._ids[slot] = traj_id
-        self._offsets[slot], self._lengths[slot] = offset, len(value)
-        self._points[slot], self._counts[slot] = offset + at, count
-        order = self._sorted
-        if order is not None:  # no key moved: patch the key-order columns
-            place = order.places[slot]
-            for column, field in zip(order.columns, _HEADER.unpack(head)):
-                column[place] = field
-            order.ids[place] = traj_id
+    def _index(self, buf: bytes, base: int, starts: list[int]) -> None:
+        """Index the frames starting at ``starts`` in ``buf``, the buffer from
+        offset ``base`` on, each in the next slot: their length fields,
+        headers and id lengths gathered as rows of bytes, their sid lengths
+        and point counts as fields, each by one numpy index; keys and ids
+        sliced. ``buf`` holds each frame's value at least up to its point
+        count. A field that would lie past its value is read at the end of
+        ``buf``, and the value gets no point block."""
+        padded = np.frombuffer(buf + bytes(_PEEK.size), np.uint8)  # so every row below is whole
+        rows = np.ndarray((len(buf) + 1, _PEEK.size), np.uint8, padded, 0, (1, 1))  # row i: bytes i on
+        at = np.array(starts, np.intp)
+        key_len, val_len = rows[at, : _FRAME.size].view("<u4").T.astype(np.intp)
+        val_at = at + _FRAME.size + key_len
+        slot = len(self._ids)
+        keys = [buf[a:b] for a, b in zip((at + _FRAME.size).tolist(), val_at.tolist())]
+        self._slot_of.update(zip(keys, range(slot, slot + len(keys))))
+        self._sorted = None
+
+        fields = rows[val_at]  # a value's header and id length, if it is long enough to hold them
+        short = val_len < _HEADER.size
+        if short.any():
+            fields[short, : _HEADER.size] = np.frombuffer(_NO_HEADER, np.uint8)
+        self._headers += fields[:, : _HEADER.size].tobytes()
+        id_len = fields[:, _HEADER.size :].copy().view("<u2")[:, 0].astype(np.intp)
+        id_at = val_at + _PEEK.size
+        ids = [buf[a:b] for a, b in zip(id_at.tolist(), (id_at + id_len).tolist())]
+        for j in np.flatnonzero(val_len < _PEEK.size + id_len).tolist():
+            ids[j] = None  # too short to hold its id field
+        self._ids += ids
+
+        u16 = np.ndarray((len(buf) + 1,), "<u2", padded, 0, (1,))  # item i: the field at byte i
+        u32 = np.ndarray((len(buf) + 1,), "<u4", padded, 0, (1,))
+        val_end = val_at + val_len
+        sid_len_at = np.minimum(id_at + id_len, len(buf))
+        count_at = np.minimum(sid_len_at + _LEN.size + u16[sid_len_at], len(buf))
+        point_at = count_at + _COUNT.size
+        counts = u32[count_at].astype(np.int64)
+        whole = (val_len >= _PEEK.size) & (sid_len_at + _LEN.size <= val_end) & (point_at <= val_end)
+        whole &= point_at + _POINT.size * counts <= val_end
+        self._offsets.frombytes((base + val_at).astype(np.int64).tobytes())
+        self._lengths.frombytes(val_len.astype(np.uint32).tobytes())
+        self._points.frombytes((base + np.where(whole, point_at, val_at)).astype(np.int64).tobytes())
+        self._counts.frombytes(np.where(whole, counts, -1).tobytes())
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.put_batch([(key, value)])
+
+    def put_batch(self, items: Iterable[tuple[bytes, bytes]]) -> None:
+        """Write each (key, value) in order, as one append of their frames,
+        leaving out a put of the bytes its key already holds, counting the
+        batch's earlier puts; the buffer ends as sequential puts leave it."""
+        held: dict[bytes, bytes] = {}  # the batch's keys, with their last value
+        frames: list[bytes] = []
+        starts, size = [], 0
+        for key, value in items:
+            last = held.get(key)
+            if last is None:
+                slot = self._slot_of.get(key)
+                if slot is not None and self._lengths[slot] == len(value) and self._read(slot) == value:
+                    continue
+            elif last == value:
+                continue
+            held[key] = value
+            starts.append(size)
+            frames += (_FRAME.pack(len(key), len(value)), key, value)
+            size += _FRAME.size + len(key) + len(value)
+        if starts:
+            buf = b"".join(frames)
+            self._index(buf, self._append(buf), starts)
+
+    def _append(self, frames: bytes) -> int:
+        """Append whole frames to the buffer; returns the offset they start at."""
+        raise NotImplementedError
 
     def _buffer(self) -> bytes | bytearray | mmap.mmap:
-        """The bytes every slot's value lies in, as of the last ``_order``."""
+        """The bytes every slot's value lies in."""
         raise NotImplementedError
 
     def _read(self, slot: int) -> bytes:
@@ -240,16 +271,14 @@ class SortedIndex:
         return bytes(self._buffer()[offset : offset + self._lengths[slot]])
 
     def _order(self) -> _KeyOrder:
-        """The index in key order, rebuilt if a new key came."""
+        """The index in key order, rebuilt if a frame was indexed."""
         order = self._sorted
         if order is None:  # readers racing here each build the same, whole tuple
             keys = sorted(self._slot_of)
             slots = np.fromiter(map(self._slot_of.__getitem__, keys), np.intp, len(keys))
-            places = np.empty(len(self._ids), np.intp)  # a slot no key owns (a replayed stale frame's) is never read
-            places[slots] = np.arange(len(keys))
             heads = np.frombuffer(self._headers, _HEADER_DTYPE)  # a view: gone before the next put
             columns = tuple(heads[name][slots] for name in _HEADER_DTYPE.names)  # a field at a time is quicker
-            order = self._sorted = _KeyOrder(keys, slots, places, columns, np.array(self._ids, object)[slots])
+            order = self._sorted = _KeyOrder(keys, slots, columns, np.array(self._ids, object)[slots])
         return order
 
     def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]:
@@ -308,7 +337,7 @@ class SortedIndex:
             b"\x00".join(set(ids)).decode("utf-8")
         except UnicodeDecodeError:
             return None
-        return Records(ids, sids, tuple(column[positions] for column in order.columns), starts, counts)
+        return Records(ids, sids, order.columns[4][positions], starts, counts)
 
     def points(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The point blocks of ``counts[i]`` points at byte ``starts[i]`` of
@@ -330,45 +359,38 @@ class SortedIndex:
 
 
 class MemoryBackend(SortedIndex):
-    """Values appended to one ``bytearray`` a put at a time, as the log
-    appends them, and as there a put of the bytes a key already holds
-    appends nothing; the reference backend for tests and oracles."""
+    """The log held in one ``bytearray``: the magic, then the frames
+    ``put_batch`` appends, byte for byte as a ``FileBackend`` writes them;
+    the reference backend for tests and oracles."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._values = bytearray()
+        self._values = bytearray(_LOG_MAGIC)
 
-    def put(self, key: bytes, value: bytes) -> None:
-        slot = self._slot_of.get(key)
-        if slot is not None and self._read(slot) == value:
-            return
-        self._record(key, value, len(self._values))
-        self._values += value
+    def _append(self, frames: bytes) -> int:
+        base = len(self._values)
+        self._values += frames
+        return base
 
     def _buffer(self) -> bytearray:
         return self._values
 
 
-_FRAME = struct.Struct("<II")
-_LOG_MAGIC = b"CTLOG1\n"
-REPLAY_CHUNK = 1 << 18  # bytes one positional read takes while a log is replayed
-
-
 class FileBackend(SortedIndex):
-    """Single-file append-only log; a slot's value is an (offset, length) in it.
+    """Single-file append-only log of length-prefixed frames; a slot's value
+    is an (offset, length) in it.
 
-    Writes append length-prefixed frames. Opening the log replays it into the
-    index, later writes winning, by positional reads of ``REPLAY_CHUNK``
-    bytes, taking each value's header, trajectory id and point block without
-    holding the log. A put of the bytes its key already holds appends
-    nothing, so re-ingesting unchanged data leaves the log as it was. A torn
-    frame at the tail, left by a writer that stopped mid-frame, is skipped on
-    open and cut off by the first write, so new frames follow the last whole
-    one; a backend that only reads never changes the file. Values are read
-    through a read-only map of the log, made by the first read and made
-    again by a read after appends pass its end, so several threads may scan,
-    refine or gather on one backend at once. Closing it closes the map and
-    lets the index go. Single writer; scans must not interleave with writes.
+    Opening the log replays it into the index, later frames winning, by
+    positional reads of ``REPLAY_CHUNK`` bytes, indexing the frames wholly
+    inside a read at once without holding the log. ``put_batch`` writes a
+    batch's frames with one write. A torn frame at the tail, left by a
+    writer that stopped mid-frame, is skipped on open and cut off by the
+    first write, so new frames follow the last whole one; a backend that
+    only reads never changes the file. Values are read through a read-only
+    map of the log, made by the first read and made again by a read after
+    appends pass its end, so several threads may scan, refine or gather on
+    one backend at once. Closing it closes the map and lets the index go.
+    Single writer; scans must not interleave with writes.
     """
 
     def __init__(self, path: str):
@@ -387,16 +409,13 @@ class FileBackend(SortedIndex):
         except ValueError:  # not a segment log
             self.close()
             raise
-        self._flushed = self._wf.tell()  # bytes below this offset are on disk
-        self._torn_at = end if self._flushed > end else None
+        self._torn_at = end if self._wf.tell() > end else None
 
     def _replay(self) -> int:
         """Index every whole frame; returns the offset just past the last one.
 
-        Each frame takes the next slot and a key the slot of its last frame,
-        so an overwritten frame leaves an unused slot behind. A chunk of the
-        log is walked for the frames wholly inside it, which are indexed at
-        once (``_index_chunk``); a frame larger than a chunk is indexed alone
+        A chunk of the log is walked for the frames wholly inside it, which
+        are indexed at once; a frame larger than a chunk is indexed alone
         (``_index_frame``). A torn frame at the tail ends the replay."""
         fd = self._fd
         size = os.fstat(fd).st_size
@@ -416,7 +435,7 @@ class FileBackend(SortedIndex):
                 starts.append(walked)
                 walked = past
             if starts:
-                self._index_chunk(buf, end, starts)
+                self._index(buf, end, starts)
                 end += walked
             else:
                 past = self._index_frame(end, size)
@@ -425,104 +444,45 @@ class FileBackend(SortedIndex):
                 end = past
         return end
 
-    def _index_chunk(self, buf: bytes, base: int, starts: list[int]) -> None:
-        """Index the whole frames starting at ``starts`` in ``buf``, the log
-        from offset ``base`` on: their length fields, headers and id lengths
-        gathered as rows of bytes, their sid lengths and point counts as
-        fields, each by one numpy index; keys and ids sliced. A field that
-        would lie past its value is read at the end of ``buf``, and the value
-        gets no point block (``_point_block``)."""
-        padded = np.frombuffer(buf + bytes(_PEEK.size), np.uint8)  # so every row below is whole
-        rows = np.ndarray((len(buf) + 1, _PEEK.size), np.uint8, padded, 0, (1, 1))  # row i: bytes i on
-        at = np.array(starts, np.intp)
-        key_len, val_len = rows[at, : _FRAME.size].view("<u4").T.astype(np.intp)
-        val_at = at + _FRAME.size + key_len
-        slot = len(self._ids)
-        keys = [buf[a:b] for a, b in zip((at + _FRAME.size).tolist(), val_at.tolist())]
-        self._slot_of.update(zip(keys, range(slot, slot + len(keys))))
-
-        fields = rows[val_at]  # a value's header and id length, if it is long enough to hold them
-        short = val_len < _HEADER.size
-        if short.any():
-            fields[short, : _HEADER.size] = np.frombuffer(_NO_HEADER, np.uint8)
-        self._headers += fields[:, : _HEADER.size].tobytes()
-        id_len = fields[:, _HEADER.size :].copy().view("<u2")[:, 0].astype(np.intp)
-        id_at = val_at + _PEEK.size
-        ids = [buf[a:b] for a, b in zip(id_at.tolist(), (id_at + id_len).tolist())]
-        for j in np.flatnonzero(val_len < _PEEK.size + id_len).tolist():
-            ids[j] = None  # too short to hold its id field
-        self._ids += ids
-
-        u16 = np.ndarray((len(buf) + 1,), "<u2", padded, 0, (1,))  # item i: the field at byte i
-        u32 = np.ndarray((len(buf) + 1,), "<u4", padded, 0, (1,))
-        val_end = val_at + val_len
-        sid_len_at = np.minimum(id_at + id_len, len(buf))
-        count_at = np.minimum(sid_len_at + _LEN.size + u16[sid_len_at], len(buf))
-        point_at = count_at + _COUNT.size
-        counts = u32[count_at].astype(np.int64)
-        whole = (val_len >= _PEEK.size) & (sid_len_at + _LEN.size <= val_end) & (point_at <= val_end)
-        whole &= point_at + _POINT.size * counts <= val_end
-        self._offsets.frombytes((base + val_at).astype(np.int64).tobytes())
-        self._lengths.frombytes(val_len.astype(np.uint32).tobytes())
-        self._points.frombytes((base + np.where(whole, point_at, val_at)).astype(np.int64).tobytes())
-        self._counts.frombytes(np.where(whole, counts, -1).tobytes())
-
     def _index_frame(self, at: int, size: int) -> int | None:
         """Index the one frame at offset ``at``, reading only its length
         fields, key, and its value up to its point count; returns the offset
         past it, or None when the log ends inside it."""
-        key_len, val_len = _FRAME.unpack(os.pread(self._fd, _FRAME.size, at))
-        offset = at + _FRAME.size + key_len
-        if offset + val_len > size:
+        frame = os.pread(self._fd, _FRAME.size, at)
+        key_len, val_len = _FRAME.unpack(frame)
+        value = _FRAME.size + key_len  # where the value starts in the frame
+        if at + value + val_len > size:
             return None
-        fields = os.pread(self._fd, key_len + min(val_len, _PEEK.size), at + _FRAME.size)
-        head = fields[key_len:]
-        if val_len >= _PEEK.size:  # then the id and the sid length, then the sid and the count
-            upto = _PEEK.size + _LEN.unpack_from(head, _HEADER.size)[0] + _LEN.size
-            head += os.pread(self._fd, min(val_len, upto) - len(head), offset + len(head))
-            if val_len >= upto:
-                upto += _LEN.unpack_from(head, upto - _LEN.size)[0] + _COUNT.size
-                head += os.pread(self._fd, min(val_len, upto) - len(head), offset + len(head))
-        point_at, count = _point_block(head, val_len)
-        self._slot_of[fields[:key_len]] = len(self._ids)
-        self._headers += head[: _HEADER.size] if val_len >= _HEADER.size else _NO_HEADER
-        self._ids.append(_id_field(head))
-        self._offsets.append(offset)
-        self._lengths.append(val_len)
-        self._points.append(offset + point_at)
-        self._counts.append(count)
-        return offset + val_len
 
-    def put(self, key: bytes, value: bytes) -> None:
-        slot = self._slot_of.get(key)
-        if slot is not None and self._lengths[slot] == len(value):
-            offset = self._offsets[slot]
-            if offset + len(value) > self._flushed:  # the old value may still be buffered
-                self._wf.flush()
-                self._flushed = self._wf.tell()
-            if os.pread(self._fd, len(value), offset) == value:
-                return  # the key already holds these bytes
+        def upto(n: int) -> None:  # read the frame on to byte n of its value, or to the value's end
+            nonlocal frame
+            frame += os.pread(self._fd, value + min(val_len, n) - len(frame), at + len(frame))
+
+        upto(_PEEK.size)
+        if val_len >= _PEEK.size:  # then the id and the sid length, then the sid and the count
+            n = _PEEK.size + _LEN.unpack_from(frame, value + _HEADER.size)[0] + _LEN.size
+            upto(n)
+            if val_len >= n:
+                upto(n + _LEN.unpack_from(frame, value + n - _LEN.size)[0] + _COUNT.size)
+        self._index(frame, at, [0])
+        return at + value + val_len
+
+    def _append(self, frames: bytes) -> int:
         if self._torn_at is not None:
             # frames after the torn one would be lost on the next replay
             log.warning("%s: cutting a torn tail at byte %d", self.path, self._torn_at)
             self._map = None  # it may reach past the cut; no view of it outlives a read
             self._wf.truncate(self._torn_at)
             self._wf.seek(self._torn_at)
-            self._flushed = self._torn_at
             self._torn_at = None
-        self._wf.write(_FRAME.pack(len(key), len(value)))
-        self._wf.write(key)
-        offset = self._wf.tell()
-        self._wf.write(value)
-        self._record(key, value, offset)
-
-    def _order(self) -> _KeyOrder:
+        base = self._wf.tell()
+        self._wf.write(frames)
         self._wf.flush()  # values are read back through the map
-        if self._map is None or len(self._map) < self._wf.tell():  # appends passed its end
-            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)  # an older map closes with its last view
-        return super()._order()
+        return base
 
     def _buffer(self) -> mmap.mmap:
+        if self._map is None or len(self._map) < self._wf.tell():  # appends passed its end
+            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)  # an older map closes with its last view
         return self._map
 
     def close(self) -> None:
@@ -621,8 +581,9 @@ def ingest(
 
     ``trajectories`` are ``Trajectory`` objects or their columns, as
     ``read_points_csv`` gives them. They go through the kernel in batches of
-    about ``BATCH_POINTS`` points, and segments are put in input order, each
-    as ``encode_key`` and ``encode_segment`` would write it. Re-ingesting
+    about ``BATCH_POINTS`` points, and each batch's segments are written by
+    one ``put_batch``, in input order, each as ``encode_key`` and
+    ``encode_segment`` would write it. Re-ingesting
     identical data leaves the log unchanged; a changed segment overwrites its
     key. Trajectories with timestamps before the index epoch are rejected and
     logged. A timestamp whose period number does not fit a key's 32 bits is a
@@ -639,9 +600,9 @@ def ingest(
         tracks = tracks.compress(np.repeat(~early, np.diff(tracks.offsets)))
     written = 0
     for batch in _batches(tracks):
-        for key, value in _frames(cut(batch, seg_cfg, **_storage_cuts(xz_cfg)), xz_cfg):
-            backend.put(key, value)
-            written += 1
+        frames = list(_frames(cut(batch, seg_cfg, **_storage_cuts(xz_cfg)), xz_cfg))
+        backend.put_batch(frames)
+        written += len(frames)
     return written
 
 
@@ -840,7 +801,7 @@ def st_read(
     names = sorted(set(recs.ids))
     rank = dict(zip(names, range(len(names))))
     owner = np.fromiter(map(rank.__getitem__, recs.ids), np.intp, len(union))  # by place: its id's rank
-    order = _in_order(kept, recs.sids, recs.heads[4], owner)
+    order = _in_order(kept, recs.sids, recs.st, owner)
 
     owners, firsts = np.unique(owner[order], return_index=True)
     counts = recs.counts[order]
@@ -870,6 +831,6 @@ def load_trajectory(backend: StoreBackend, traj_id: str) -> Trajectory | None:
     recs = backend.records(positions)
     if recs is None:
         _refused(backend, positions, decode_segment)
-    order = _in_order(np.arange(len(positions)), recs.sids, recs.heads[4])
+    order = _in_order(np.arange(len(positions)), recs.sids, recs.st)
     points = backend.points(recs.starts[order], recs.counts[order])
     return Trajectory(traj_id, map(Location, *(points[name].tolist() for name in _POINT_DTYPE.names)))

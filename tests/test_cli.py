@@ -287,6 +287,21 @@ def test_join_leaf_capacity_below_one_is_an_error(tmp_path, capsys, capacity):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("resolution", ["-1", "65"])
+def test_join_resolution_outside_its_range_is_an_error(tmp_path, capsys, resolution):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    store = tmp_path / "store"
+    run(["ingest", "--input", str(points), "--store", str(store)], capsys)
+    code, out, err = run(
+        ["join", "--store", str(store), "--query-csv", str(points), "--resolution", resolution],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "resolution" in err
+
+
 def test_reingest_of_the_same_csv_appends_no_frame(tmp_path, capsys):
     points = tmp_path / "points.csv"
     store = tmp_path / "store"

@@ -1,6 +1,7 @@
 """The index's trajectory-id column and the chunked log replay that fills it,
 against the one-frame-at-a-time replay and the scanning lookup kept in
-``reference``."""
+``reference``; and the index that writes build, against the replay of the
+log they write."""
 
 import os
 import random
@@ -34,11 +35,17 @@ class ReferenceFileBackend(FileBackend):
     _replay = reference.replay
 
 
-def index_state(backend):
-    """Everything a replay builds: slots, headers, ids, offsets and lengths,
-    point blocks and counts, and where the next write cuts a torn tail."""
+def slots(backend):
+    """The index of either backend: slots, headers, ids, offsets and
+    lengths, point blocks and counts."""
     return (backend._slot_of, bytes(backend._headers), backend._ids, list(backend._offsets),
-            list(backend._lengths), list(backend._points), list(backend._counts), backend._torn_at)
+            list(backend._lengths), list(backend._points), list(backend._counts))
+
+
+def index_state(backend):
+    """Everything a replay builds: the index, and where the next write cuts
+    a torn tail."""
+    return (*slots(backend), backend._torn_at)
 
 
 def write_log(path, frames, tail=b""):
@@ -103,6 +110,38 @@ def test_replay_matches_reference(tmp_path_factory, frames, tail, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(store, "REPLAY_CHUNK", chunk)
         assert_replays_agree(path)
+
+
+@given(
+    frames=st.lists(st.tuples(_KEYS, _values()), max_size=25),
+    again=st.lists(st.integers(0, 24), max_size=8),
+    chunk=st.sampled_from([7, 60, store.REPLAY_CHUNK]),
+)
+@settings(max_examples=150, deadline=None)
+def test_writes_and_replay_build_one_index(tmp_path_factory, frames, again, chunk):
+    puts = frames + [frames[i % len(frames)] for i in again] if frames else []
+    log = bytearray(store._LOG_MAGIC)  # every put's frame, but for one of the bytes its key holds
+    held = {}
+    for key, value in puts:
+        if held.get(key) != value:
+            log += store._FRAME.pack(len(key), len(value)) + key + value
+            held[key] = value
+    root = tmp_path_factory.mktemp("logs")
+    paths = [root / "put.log", root / "batch.log"]
+    memory = MemoryBackend()
+    with FileBackend(str(paths[0])) as by_put, FileBackend(str(paths[1])) as by_batch:
+        for key, value in puts:
+            by_put.put(key, value)
+            memory.put(key, value)
+        by_batch.put_batch(puts)
+        live = [slots(backend) for backend in (by_put, by_batch, memory)]
+    assert live[0] == live[1] == live[2]
+    assert paths[0].read_bytes() == paths[1].read_bytes() == bytes(memory._values) == log
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store, "REPLAY_CHUNK", chunk)
+        for path in paths:
+            with FileBackend(str(path)) as reopened:
+                assert index_state(reopened) == (*live[0], None)
 
 
 @pytest.mark.parametrize("chunk", [8, 64, 300, store.REPLAY_CHUNK])

@@ -44,6 +44,12 @@ def test_single_segment_tree():
     assert sft_build([_seg("a#0", 0, 0, 60)], resolution=10) == [[0]]
 
 
+@pytest.mark.parametrize("resolution", [-1, 65, 10**6])
+def test_resolution_outside_its_range_is_refused(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        sft_build([_seg("a#0", 0, 0, 60)], resolution)
+
+
 def test_chunks_visit_cells_north_east_first():
     corners = {"sw": (-10.0, -10.0), "ne": (10.0, 10.0), "nw": (-10.0, 10.0), "se": (10.0, -10.0)}
     segs = [Segment.build(f"{name}#0", name, [Location(lon, lat, 10)]) for name, (lon, lat) in corners.items()]

@@ -209,13 +209,13 @@ def test_pre_epoch_timestamps_raise():
 
 
 class Recorder:
-    """A backend that keeps every put, in order."""
+    """A backend that keeps every put of every batch, in order."""
 
     def __init__(self):
         self.puts = []
 
-    def put(self, key, value):
-        self.puts.append((key, value))
+    def put_batch(self, items):
+        self.puts.extend(items)
 
 
 def walk(traj_id, n, seed, t0=1_600_000_000):
