@@ -7,7 +7,7 @@ time (``irq``) or for a whole query set in one batched pass (``irjq``).
 """
 
 from .gen import GenConfig, generate, write_labels
-from .join import irjq, irjq_unpruned, sft_build
+from .join import irjq, sft_build
 from .metric import (
     QueryParams,
     exhaustive_irq,
@@ -37,7 +37,7 @@ from .model import (
     time_range_of,
     write_points_csv,
 )
-from .query import extract_candidates, irq, irq_unpruned
+from .query import extract_candidates, irq
 from .store import (
     FileBackend,
     MemoryBackend,
@@ -95,9 +95,7 @@ __all__ = [
     "haversine_m",
     "ingest",
     "irjq",
-    "irjq_unpruned",
     "irq",
-    "irq_unpruned",
     "load_trajectories_csv",
     "load_trajectory",
     "mbr_of",

@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .gen import GenConfig, generate
-from .join import irjq, irjq_unpruned
+from .join import irjq
 from .metric import QueryParams
 from .model import SegmentationConfig, Trajectory
-from .query import irq, irq_unpruned
-from .store import MemoryBackend, StoreBackend, ingest
+from .query import irq
+from .store import MemoryBackend, SortedIndex, ingest
 from .xz import XzConfig
 
 SUITES = ("lambda", "theta", "theta_d", "theta_t", "resolution", "query_size", "data_size")
@@ -38,7 +38,7 @@ class BenchWorkload:
     """A seeded store plus the query trajectories drawn from it."""
 
     trajectories: list[Trajectory]
-    backend: StoreBackend
+    backend: SortedIndex
     xz_cfg: XzConfig
     seg_cfg: SegmentationConfig
     query_set: list[Trajectory]
@@ -93,17 +93,14 @@ def median_ms(fn: Callable[[], object], repeats: int = 5) -> tuple[float, object
 
 
 def _algos(workload: BenchWorkload, params: QueryParams, resolution: int = 15):
+    """Each engine with every pruning rule, and with none (``_up``)."""
     w = workload
     return {
         "irq": lambda: [irq(q, params, w.backend, w.xz_cfg, w.seg_cfg) for q in w.query_set],
-        "irq_up": lambda: [
-            irq_unpruned(q, params, w.backend, w.xz_cfg, w.seg_cfg) for q in w.query_set
-        ],
-        "irjq": lambda: irjq(
-            w.query_set, params, w.backend, w.xz_cfg, w.seg_cfg, resolution=resolution
-        ),
-        "irjq_up": lambda: irjq_unpruned(
-            w.query_set, params, w.backend, w.xz_cfg, w.seg_cfg, resolution=resolution
+        "irq_up": lambda: [irq(q, params, w.backend, w.xz_cfg, w.seg_cfg, lemmas=()) for q in w.query_set],
+        "irjq": lambda: irjq(w.query_set, params, w.backend, w.xz_cfg, w.seg_cfg, resolution=resolution),
+        "irjq_up": lambda: irjq(
+            w.query_set, params, w.backend, w.xz_cfg, w.seg_cfg, resolution=resolution, lemmas=()
         ),
     }
 

@@ -10,12 +10,13 @@ store path comes from --store or the CONTACT_STORE_DIR environment variable
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import os
 import sys
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from . import bench as bench_mod
 from .gen import GenConfig, generate, write_labels
@@ -87,8 +88,27 @@ def _open_store(store_dir: str) -> tuple[FileBackend, XzConfig, SegmentationConf
     return FileBackend(log_path), xz_cfg, seg_cfg
 
 
-def _out_stream(path: str | None) -> TextIO:
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The file at ``path``, closed on leaving, or stdout, left open."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        yield out
+
+
+def _write_results(args: argparse.Namespace, header: list[str], results: list[tuple],
+                   counters: dict[str, int], keys: tuple[str, ...]) -> None:
+    """A query's CSV: ``header``, a row a result with its score to nine
+    decimals, then under ``--explain`` a ``# key=value`` line a counter."""
+    with _output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows((*ids, f"{ir:.9f}") for *ids, ir in results)
+        if args.explain:
+            for key in keys:
+                out.write(f"# {key}={counters.get(key, 0)}\n")
 
 
 def _params(args: argparse.Namespace) -> QueryParams:
@@ -183,18 +203,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     finally:
         backend.close()
 
-    out = _out_stream(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["traj_id", "ir"])
-        for traj_id, ir in results:
-            writer.writerow([traj_id, f"{ir:.9f}"])
-        if args.explain:
-            for key in COUNTER_KEYS:
-                out.write(f"# {key}={counters.get(key, 0)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_results(args, ["traj_id", "ir"], results, counters, COUNTER_KEYS)
     return 0
 
 
@@ -217,18 +226,7 @@ def cmd_join(args: argparse.Namespace) -> int:
     finally:
         backend.close()
 
-    out = _out_stream(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["query_traj_id", "candidate_traj_id", "ir"])
-        for qid, tid, ir in results:
-            writer.writerow([qid, tid, f"{ir:.9f}"])
-        if args.explain:
-            for key in JOIN_COUNTER_KEYS:
-                out.write(f"# {key}={counters.get(key, 0)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_results(args, ["query_traj_id", "candidate_traj_id", "ir"], results, counters, JOIN_COUNTER_KEYS)
     return 0
 
 
@@ -243,8 +241,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.DictWriter(
             out,
             fieldnames=["sweep_param", "value", "algo", "median_ms", "result_count"],
@@ -252,9 +249,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -276,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--contact-dist", type=float, default=50.0)
     p_gen.add_argument("--contact-dt", type=float, default=120.0)
     p_gen.add_argument("--dwell-prob", type=float, default=0.5)
-    p_gen.set_defaults(func=cmd_gen)
 
     p_ingest = sub.add_parser("ingest", help="segment, encode and store a points CSV")
     p_ingest.add_argument("--input", required=True, help="points CSV")
@@ -287,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--d-seg", type=float, default=200.0, help="segment spatial bound (m)")
     p_ingest.add_argument("--t-seg", type=int, default=1800, help="segment temporal bound (s)")
     p_ingest.add_argument("--max-speed", type=float, default=50.0, help="noise gate (m/s)")
-    p_ingest.set_defaults(func=cmd_ingest)
 
     p_query = sub.add_parser("query", help="contacts of one trajectory")
     p_query.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")
@@ -297,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_query)
     p_query.add_argument("--explain", action="store_true", help="append '#' counter lines")
     p_query.add_argument("--out", help="write CSV here instead of stdout")
-    p_query.set_defaults(func=cmd_query)
 
     p_join = sub.add_parser("join", help="contacts of every trajectory in a query set")
     p_join.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")
@@ -309,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="queries per scan set, each set one store read (at least 1)")
     p_join.add_argument("--explain", action="store_true", help="append '#' counter lines")
     p_join.add_argument("--out", help="write CSV here instead of stdout")
-    p_join.set_defaults(func=cmd_join)
 
     p_bench = sub.add_parser("bench", help="parameter sweep timings as CSV")
     p_bench.add_argument("suite", choices=bench_mod.SUITES)
@@ -318,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n-traj", type=int, default=1200)
     p_bench.add_argument("--seed", type=int, default=7)
     p_bench.add_argument("--query-size", type=int, default=10)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -328,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "store", "") is None:
         args.store = _default_store()
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # at call time, so a rebound command runs
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

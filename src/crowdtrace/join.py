@@ -5,8 +5,9 @@ Every query is cut into segments as ``irq`` cuts it, all of them in one pass
 ``resolution`` levels deep, that holds the min corner of their first
 segment's box, cells in visit order, then by that segment's start time, and
 cuts that order into chunks of at most ``capacity`` queries. Each chunk is one
-scan set: ONE ``st_read`` over all of its queries' segment windows, so nearby
-queries share I/O, and ``touches[i, c]`` is the reach test of window ``i``.
+scan set: ONE ``extract_candidates`` read over all of its queries' segments,
+so nearby queries share I/O, and ``touches[i, c]`` is the reach test of the
+window of segment ``i``.
 
 Each query is then ranked by ``query.rank`` over its own rows of the chunk's
 read, as ``irq`` ranks it: the same rules, counters and float order, so on a
@@ -20,9 +21,9 @@ from typing import Sequence
 
 # filter_noise, segment, segment_ir and st_query stay bound here: perfbench's tracer wraps them in this module
 from .metric import PointArray, QueryParams, segment_ir
-from .model import MBR, WORLD, Segment, SegmentationConfig, TimeRange, Trajectory, filter_noise, segment
-from .query import ALL_LEMMAS, COUNTER_KEYS, QuerySegment, query_segments, rank
-from .store import StoreBackend, st_query, st_read
+from .model import MBR, WORLD, Segment, SegmentationConfig, Trajectory, filter_noise, segment
+from .query import ALL_LEMMAS, COUNTER_KEYS, QuerySegment, extract_candidates, query_segments, rank
+from .store import SortedIndex, st_query
 from .xz import XzConfig
 
 DEFAULT_LEAF_CAPACITY = 64
@@ -77,21 +78,21 @@ def sft_build(
 def irjq(
     query_set: list[Trajectory],
     params: QueryParams,
-    backend: StoreBackend,
+    backend: SortedIndex,
     cfg: XzConfig,
     seg_cfg: SegmentationConfig | None = None,
     *,
     resolution: int = 15,
     capacity: int = DEFAULT_LEAF_CAPACITY,
-    prune: bool = True,
+    lemmas: frozenset[int] | tuple[int, ...] = ALL_LEMMAS,
     counters: dict[str, int] | None = None,
 ) -> list[tuple[str, str, float]]:
     """Every (query id, stored id, score) pair strictly above the threshold.
 
-    One ``st_read`` per scan set finds the candidates of all its queries.
-    Per-query results and counters equal the single-query engine's; output
-    is sorted by query id, then descending score, then candidate id.
-    ``prune=False`` runs no pruning rule.
+    One ``extract_candidates`` per scan set finds the candidates of all its
+    queries. Per-query results and counters equal the single-query engine's
+    under the same ``lemmas``; output is sorted by query id, then descending
+    score, then candidate id.
     """
     ids = [q.id for q in query_set]
     if len(set(ids)) != len(ids):
@@ -101,11 +102,10 @@ def irjq(
     chunks = sft_build([segs[0] for segs, _ in cuts], resolution, capacity)
     tally = {} if counters is None else counters
     tally["scan_sets"] = tally.get("scan_sets", 0) + len(chunks)
-    lemmas = ALL_LEMMAS if prune else frozenset()
+    lemmas = frozenset(lemmas)
     ranked: dict[str, list[tuple[str, float]]] = {}
     for chunk in chunks:
-        windows = [(s.mbr, TimeRange(s.st, s.et)) for k in chunk for s in cuts[k][0]]
-        found = st_read(windows, params.theta_d, params.theta_t, backend, cfg)
+        found = extract_candidates([s for k in chunk for s in cuts[k][0]], params, backend, cfg)
         points = PointArray.of(found.points)
         row = 0
         for k in chunk:
@@ -115,27 +115,3 @@ def irjq(
             row += len(segs)
     return [(qid, tid, ir) for qid in sorted(ranked) for tid, ir in ranked[qid]]
 
-
-def irjq_unpruned(
-    query_set: list[Trajectory],
-    params: QueryParams,
-    backend: StoreBackend,
-    cfg: XzConfig,
-    seg_cfg: SegmentationConfig | None = None,
-    *,
-    resolution: int = 15,
-    capacity: int = DEFAULT_LEAF_CAPACITY,
-    counters: dict[str, int] | None = None,
-) -> list[tuple[str, str, float]]:
-    """``irjq`` with every pruning rule disabled; same results, more work."""
-    return irjq(
-        query_set,
-        params,
-        backend,
-        cfg,
-        seg_cfg,
-        resolution=resolution,
-        capacity=capacity,
-        prune=False,
-        counters=counters,
-    )

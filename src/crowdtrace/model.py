@@ -122,9 +122,6 @@ class TimeRange:
     def intersects(self, other: "TimeRange") -> bool:
         return self.start <= other.end and other.start <= self.end
 
-    def union(self, other: "TimeRange") -> "TimeRange":
-        return TimeRange(min(self.start, other.start), max(self.end, other.end))
-
 
 @dataclass(frozen=True, slots=True)
 class Trajectory:
@@ -180,10 +177,6 @@ class Segment:
             st=locs[0].t,
             et=locs[-1].t,
         )
-
-    @property
-    def time_range(self) -> TimeRange:
-        return TimeRange(self.st, self.et)
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,7 +30,7 @@ import numpy as np
 # filter_noise, segment, segment_ir and st_query stay bound here: perfbench's tracer wraps them in this module
 from .metric import PointArray, QueryParams, segment_ir, segment_irs
 from .model import MBR, Segment, SegmentationConfig, TimeRange, Tracks, Trajectory, cut, filter_noise, segment
-from .store import Retrieved, StoreBackend, st_query, st_read
+from .store import Retrieved, SortedIndex, st_query, st_read
 from .xz import XzConfig
 
 ALL_LEMMAS = frozenset({1, 2, 3, 4})
@@ -73,11 +73,12 @@ def query_segments(
 
 
 def extract_candidates(
-    q_segments: Sequence[Segment | QuerySegment], params: QueryParams, backend: StoreBackend, cfg: XzConfig
+    q_segments: Sequence[Segment | QuerySegment], params: QueryParams, backend: SortedIndex, cfg: XzConfig
 ) -> Retrieved:
     """The stored trajectories the query segments' windows retrieve, each
     record read once (``st_read``); ``touches[i, c]`` says query segment
-    ``i`` retrieved candidate ``c``, the relation the pruning rules need."""
+    ``i`` retrieved candidate ``c``, the relation the pruning rules need.
+    The join reads the segments of a whole chunk of queries through it."""
     windows = [(s.mbr, TimeRange(s.st, s.et)) for s in q_segments]
     return st_read(windows, params.theta_d, params.theta_t, backend, cfg)
 
@@ -138,7 +139,7 @@ def rank(
 def irq(
     q: Trajectory,
     params: QueryParams,
-    backend: StoreBackend,
+    backend: SortedIndex,
     cfg: XzConfig,
     seg_cfg: SegmentationConfig | None = None,
     *,
@@ -148,23 +149,12 @@ def irq(
     """All stored trajectories scoring strictly above the threshold against ``q``.
 
     Returns (traj_id, score) sorted by descending score then ascending id.
-    ``lemmas`` selects which pruning rules run; ``counters``, when given, is
-    filled with per-rule prune counts.
+    ``lemmas`` selects which pruning rules run, ``()`` none of them: the
+    results are the same, the work more. ``counters``, when given, is filled
+    with per-rule prune counts.
     """
     [(q_segments, weights)] = query_segments([q], seg_cfg or SegmentationConfig())
     found = extract_candidates(q_segments, params, backend, cfg)
     return rank(q.id, q_segments, weights, found, PointArray.of(found.points), found.touches, params,
                 frozenset(lemmas), {} if counters is None else counters)
 
-
-def irq_unpruned(
-    q: Trajectory,
-    params: QueryParams,
-    backend: StoreBackend,
-    cfg: XzConfig,
-    seg_cfg: SegmentationConfig | None = None,
-    *,
-    counters: dict[str, int] | None = None,
-) -> list[tuple[str, float]]:
-    """``irq`` with every pruning rule disabled; same results, more work."""
-    return irq(q, params, backend, cfg, seg_cfg, lemmas=frozenset(), counters=counters)

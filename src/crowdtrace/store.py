@@ -48,7 +48,7 @@ import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,24 +84,6 @@ from .xz import (
 log = logging.getLogger(__name__)
 
 MAX_SUPPORTED_LAT = 85.0  # window padding is only exact below this latitude
-
-
-class StoreBackend(Protocol):
-    def put(self, key: bytes, value: bytes) -> None: ...
-
-    def put_batch(self, items: Iterable[tuple[bytes, bytes]]) -> None: ...
-
-    def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]: ...
-
-    def refine(self, ranges: Iterable[ScanRange], w: MBR, t: TimeRange) -> np.ndarray: ...
-
-    def positions_of(self, traj_id: str) -> np.ndarray: ...
-
-    def read(self, positions: np.ndarray) -> Iterator[bytes]: ...
-
-    def records(self, positions: np.ndarray) -> "Records | None": ...
-
-    def points(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray: ...
 
 
 # the fixed header an encoded segment starts with: box corners, st, et
@@ -316,28 +298,31 @@ class SortedIndex:
         iterator reaches it."""
         return map(self._read, self._order().slots[positions].tolist())
 
-    def records(self, positions: np.ndarray) -> Records | None:
+    def records(self, positions: np.ndarray) -> Records:
         """The records at key-order positions, as ``read`` would give them, as
-        columns; None if one of them is too short for its fields or points,
-        or holds an id or a sid that is not UTF-8: a value ``_unpack``
-        refuses. The sids are the only field sliced a record at a time."""
+        columns. A value too short for its fields or points, or holding an id
+        or a sid that is not UTF-8, is one ``_unpack`` refuses: the first
+        such one in key order raises what ``_unpack`` raises on it. The sids
+        are the only field sliced a record at a time."""
         order = self._order()
         slots = order.slots[positions]
         counts = np.frombuffer(self._counts, np.int64)[slots]
-        if (counts < 0).any():
-            return None
-        ids = order.ids[positions].tolist()
-        starts = np.frombuffer(self._points, np.int64)[slots]
-        sid_at = np.frombuffer(self._offsets, np.int64)[slots] + _PEEK.size + _LEN.size
-        sid_at += np.fromiter(map(len, ids), np.int64, len(ids))
-        buf = self._buffer()
-        sids = [bytes(buf[a:b]) for a, b in zip(sid_at.tolist(), (starts - _COUNT.size).tolist())]
-        try:  # NUL ends no UTF-8 sequence and starts none, so the join is valid only if every part is
-            b"\x00".join(sids).decode("utf-8")
-            b"\x00".join(set(ids)).decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        return Records(ids, sids, order.columns[4][positions], starts, counts)
+        if (counts >= 0).all():
+            ids = order.ids[positions].tolist()
+            starts = np.frombuffer(self._points, np.int64)[slots]
+            sid_at = np.frombuffer(self._offsets, np.int64)[slots] + _PEEK.size + _LEN.size
+            sid_at += np.fromiter(map(len, ids), np.int64, len(ids))
+            buf = self._buffer()
+            sids = [bytes(buf[a:b]) for a, b in zip(sid_at.tolist(), (starts - _COUNT.size).tolist())]
+            try:  # NUL ends no UTF-8 sequence and starts none, so the join is valid only if every part is
+                b"\x00".join(sids).decode("utf-8")
+                b"\x00".join(set(ids)).decode("utf-8")
+                return Records(ids, sids, order.columns[4][positions], starts, counts)
+            except UnicodeDecodeError:
+                pass
+        for value in self.read(positions):
+            _unpack(value)
+        raise AssertionError("a record found unfit unpacks")
 
     def points(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The point blocks of ``counts[i]`` points at byte ``starts[i]`` of
@@ -575,7 +560,7 @@ def ingest(
     trajectories: Iterable[Trajectory] | Tracks,
     xz_cfg: XzConfig,
     seg_cfg: SegmentationConfig,
-    backend: StoreBackend,
+    backend: SortedIndex,
 ) -> int:
     """Write every trajectory's storage segments; returns segments written.
 
@@ -684,7 +669,7 @@ def expand_time_range(tr: TimeRange, pad_s: float) -> TimeRange:
 
 
 def _window_positions(
-    window: MBR, tr: TimeRange, theta_d: float, theta_t: float, backend: StoreBackend, cfg: XzConfig
+    window: MBR, tr: TimeRange, theta_d: float, theta_t: float, backend: SortedIndex, cfg: XzConfig
 ) -> np.ndarray:
     """Key-order positions of the records meeting the window and time range
     grown by the reach.
@@ -707,7 +692,7 @@ def st_query(
     tr: TimeRange,
     theta_d: float,
     theta_t: float,
-    backend: StoreBackend,
+    backend: SortedIndex,
     cfg: XzConfig,
 ) -> list[Segment]:
     """All stored segments intersecting the window and time range, each
@@ -737,14 +722,6 @@ class Retrieved:
 
     def __len__(self) -> int:
         return len(self.traj_ids)
-
-
-def _refused(backend: StoreBackend, positions: np.ndarray, decode: Callable[[bytes], object]) -> NoReturn:
-    """Raise what ``decode`` raises on the first record at ``positions``, in
-    key order, that it refuses."""
-    for value in backend.read(positions):
-        decode(value)
-    raise AssertionError("a record found unfit decodes")
 
 
 def _in_order(places: np.ndarray, sids: list[bytes], *keys: np.ndarray) -> np.ndarray:
@@ -779,7 +756,7 @@ def _first_copies(sids: list[bytes], found: list[np.ndarray]) -> tuple[list[np.n
 
 def st_read(
     windows: Sequence[tuple[MBR, TimeRange]], theta_d: float, theta_t: float,
-    backend: StoreBackend, cfg: XzConfig,
+    backend: SortedIndex, cfg: XzConfig,
 ) -> Retrieved:
     """``st_query`` of every window, with no record decoded alone: the
     records found are sorted by (trajectory id, st, sid) and the points of
@@ -792,8 +769,6 @@ def st_read(
     found = [_window_positions(w, tr, theta_d, theta_t, backend, cfg) for w, tr in windows]
     union = np.unique(np.concatenate(found)) if found else np.empty(0, np.intp)
     recs = backend.records(union)
-    if recs is None:
-        _refused(backend, union, _unpack)
     found = [np.searchsorted(union, at) for at in found]  # as places in union
     kept = np.arange(len(union))
     if len(set(recs.sids)) < len(union):
@@ -816,7 +791,7 @@ def st_read(
                      backend.points(recs.starts[order], counts), touches)
 
 
-def load_trajectory(backend: StoreBackend, traj_id: str) -> Trajectory | None:
+def load_trajectory(backend: SortedIndex, traj_id: str) -> Trajectory | None:
     """Reassemble one trajectory from its stored segments, in (st, sid)
     order: only the records the index's id column finds for ``traj_id`` are
     read, their points gathered by one index (``points``). A record that
@@ -829,8 +804,6 @@ def load_trajectory(backend: StoreBackend, traj_id: str) -> Trajectory | None:
     if not positions.size:
         return None
     recs = backend.records(positions)
-    if recs is None:
-        _refused(backend, positions, decode_segment)
     order = _in_order(np.arange(len(positions)), recs.sids, recs.st)
     points = backend.points(recs.starts[order], recs.counts[order])
     return Trajectory(traj_id, map(Location, *(points[name].tolist() for name in _POINT_DTYPE.names)))

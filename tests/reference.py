@@ -313,7 +313,7 @@ def irq(
 
 
 def irjq(query_set, params, backend, cfg, seg_cfg=None, *, resolution=15, capacity=64,
-         prune=True, counters=None):
+         lemmas=ALL_LEMMAS, counters=None):
     """The per-candidate join: same signature and outputs as ``crowdtrace.irjq``.
     ``sft_build`` orders the queries by their first segment and cuts them
     into chunks of ``capacity``. A chunk's windows find their candidates by
@@ -325,7 +325,7 @@ def irjq(query_set, params, backend, cfg, seg_cfg=None, *, resolution=15, capaci
     from crowdtrace.join import JOIN_COUNTER_KEYS, sft_build
 
     seg_cfg = seg_cfg or SegmentationConfig()
-    lemmas = ALL_LEMMAS if prune else frozenset()
+    lemmas = frozenset(lemmas)
     cut = [segment(filter_noise(q, seg_cfg), seg_cfg) for q in query_set]
     chunks = sft_build([q_segments[0] for q_segments in cut], resolution, capacity)
     tally = dict.fromkeys(JOIN_COUNTER_KEYS, 0)

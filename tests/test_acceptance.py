@@ -29,9 +29,7 @@ from crowdtrace import (
     extract_candidates,
     ingest,
     irjq,
-    irjq_unpruned,
     irq,
-    irq_unpruned,
     segment,
     st_query,
 )
@@ -264,7 +262,7 @@ def test_a4_pruning_saves_time_at_scale(monkeypatch):
         counters: dict[str, int] = {}
         irq_ms, irq_up_ms, irq_res = paired_median_ms(
             lambda: irq(patient, params, backend, xz_cfg, seg_cfg, counters=counters),
-            lambda: irq_unpruned(patient, params, backend, xz_cfg, seg_cfg),
+            lambda: irq(patient, params, backend, xz_cfg, seg_cfg, lemmas=()),
         )
         pruned = sum(counters[k] for k in ("lemma1", "lemma2", "lemma3", "lemma4"))
         assert pruned >= 1
@@ -273,13 +271,13 @@ def test_a4_pruning_saves_time_at_scale(monkeypatch):
         irq_calls = count_pairs_scored(
             monkeypatch, lambda: irq(patient, params, backend, xz_cfg, seg_cfg))
         irq_up_calls = count_pairs_scored(
-            monkeypatch, lambda: irq_unpruned(patient, params, backend, xz_cfg, seg_cfg))
+            monkeypatch, lambda: irq(patient, params, backend, xz_cfg, seg_cfg, lemmas=()))
         assert irq_calls < irq_up_calls, f"irq {irq_calls} vs unpruned {irq_up_calls} pairs scored"
 
         join_counters: dict[str, int] = {}
         irjq_ms, irjq_up_ms, _ = paired_median_ms(
             lambda: irjq(join_queries, params, backend, xz_cfg, seg_cfg, counters=join_counters),
-            lambda: irjq_unpruned(join_queries, params, backend, xz_cfg, seg_cfg),
+            lambda: irjq(join_queries, params, backend, xz_cfg, seg_cfg, lemmas=()),
         )
         join_pruned = sum(join_counters[k] for k in ("lemma1", "lemma2", "lemma3", "lemma4"))
         assert join_pruned >= 1
@@ -287,7 +285,7 @@ def test_a4_pruning_saves_time_at_scale(monkeypatch):
         irjq_calls = count_pairs_scored(
             monkeypatch, lambda: irjq(join_queries, params, backend, xz_cfg, seg_cfg))
         irjq_up_calls = count_pairs_scored(
-            monkeypatch, lambda: irjq_unpruned(join_queries, params, backend, xz_cfg, seg_cfg))
+            monkeypatch, lambda: irjq(join_queries, params, backend, xz_cfg, seg_cfg, lemmas=()))
         assert irjq_calls < irjq_up_calls, (
             f"irjq {irjq_calls} vs unpruned {irjq_up_calls} pairs scored")
         print(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import crowdtrace
+import crowdtrace.cli as cli
 from crowdtrace.cli import main
 from conftest import log_frames
 
@@ -29,6 +30,14 @@ def write_twin_csv(path):
 def query_csv_of(path, tid="alpha"):
     rows = [r for r in path.read_text().splitlines() if r.startswith(tid + ",")]
     return "\n".join(rows) + "\n"
+
+
+def test_main_runs_the_command_bound_when_it_is_called(monkeypatch):
+    cli.build_parser()  # the cached parser predates the stub below
+    calls = []
+    monkeypatch.setattr(cli, "cmd_query", lambda args: calls.append(args.traj_id) or 7)
+    assert main(["query", "--store", "nowhere", "--traj-id", "t1"]) == 7
+    assert calls == ["t1"]
 
 
 def test_gen_is_byte_deterministic(tmp_path, capsys):

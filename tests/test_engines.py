@@ -82,18 +82,18 @@ def _same_irq(q, params, backend, cfg, budgets=BUDGETS, subsets=LEMMA_SUBSETS):
             assert pairs == want_pairs, (q.id, sorted(lemmas), budget)
 
 
-def _same_irjq(query_set, params, backend, cfg, budgets=BUDGETS):
-    for prune in (True, False):
+def _same_irjq(query_set, params, backend, cfg, budgets=BUDGETS, subsets=LEMMA_SUBSETS):
+    for lemmas in subsets:
         want_counters: dict[str, int] = {}
         want, want_pairs = _scoring(lambda: reference.irjq(
-            query_set, params, backend, cfg, SEG, prune=prune, counters=want_counters))
+            query_set, params, backend, cfg, SEG, lemmas=lemmas, counters=want_counters))
         for budget in budgets:
             counters: dict[str, int] = {}
             got, pairs = _scoring(lambda: irjq(
-                query_set, params, backend, cfg, SEG, prune=prune, counters=counters), budget)
-            assert got == want, (prune, budget)
-            assert counters == want_counters, (prune, budget)
-            assert pairs == want_pairs, (prune, budget)
+                query_set, params, backend, cfg, SEG, lemmas=lemmas, counters=counters), budget)
+            assert got == want, (sorted(lemmas), budget)
+            assert counters == want_counters, (sorted(lemmas), budget)
+            assert pairs == want_pairs, (sorted(lemmas), budget)
 
 
 # --- the scoring kernel -------------------------------------------------------------------
@@ -221,7 +221,7 @@ def test_small_stores_match_the_reference(population, lemmas, budget, theta, res
     outsider = Trajectory("visitor", population[0].locations)
     for q in population[:3] + [outsider]:
         _same_irq(q, params, backend, cfg, budgets=(budget,), subsets=[lemmas])
-    _same_irjq(population, params, backend, cfg, budgets=(budget,))
+    _same_irjq(population, params, backend, cfg, budgets=(budget,), subsets=[lemmas])
 
 
 @pytest.mark.parametrize("seed", [5, 31])

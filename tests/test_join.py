@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crowdtrace.join as join_mod
+import crowdtrace.query as query_mod
 from crowdtrace import (
     GenConfig,
     Location,
@@ -19,7 +19,6 @@ from crowdtrace import (
     generate,
     ingest,
     irjq,
-    irjq_unpruned,
     irq,
     sft_build,
 )
@@ -162,7 +161,7 @@ def test_unpruned_identical_results():
     pruned_counters: dict[str, int] = {}
     plain_counters: dict[str, int] = {}
     a = irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, counters=pruned_counters)
-    b = irjq_unpruned(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, counters=plain_counters)
+    b = irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, lemmas=(), counters=plain_counters)
     assert a == b
     assert all(plain_counters[f"lemma{rule}"] == 0 for rule in range(1, 5))
     assert plain_counters["evaluated"] == plain_counters["candidates"] == pruned_counters["candidates"]
@@ -184,7 +183,7 @@ def test_one_st_read_per_chunk(capacity):
 
     counters: dict[str, int] = {}
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(join_mod, "st_read", counted)
+        m.setattr(query_mod, "st_read", counted)  # the binding extract_candidates calls
         got = irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, capacity=capacity, counters=counters)
     assert len(reads) == counters["scan_sets"] == math.ceil(len(query_set) / capacity)
     # all of a query's windows are in one read, and every window is read once
@@ -227,15 +226,17 @@ def test_join_equals_irq_bit_for_bit(store):
                          ids=["generated-107", "long-queries"])
 def test_join_counters_equal_summed_irq_counters(store):
     query_set, backend, xz_cfg = store()
-    want: dict[str, int] = {}
-    single = {q.id: irq(q, P, backend, xz_cfg, SEG, counters=want) for q in query_set}
-    assert want["candidates"] > want["evaluated"]  # some rule pruned
-    for capacity in (1, 5, 64):
-        counters: dict[str, int] = {}
-        joined = irjq(query_set, P, backend, xz_cfg, SEG, capacity=capacity, counters=counters)
-        for q in query_set:
-            assert restrict(joined, q.id) == single[q.id], (q.id, capacity)
-        assert counters == {"scan_sets": math.ceil(len(query_set) / capacity), **want}, capacity
+    for lemmas in [(), (1,), (4,), (1, 2, 3, 4)]:
+        want: dict[str, int] = {}
+        single = {q.id: irq(q, P, backend, xz_cfg, SEG, lemmas=lemmas, counters=want) for q in query_set}
+        if len(lemmas) == 4:
+            assert want["candidates"] > want["evaluated"]  # some rule pruned
+        for capacity in (1, 5, 64):
+            counters: dict[str, int] = {}
+            joined = irjq(query_set, P, backend, xz_cfg, SEG, capacity=capacity, lemmas=lemmas, counters=counters)
+            for q in query_set:
+                assert restrict(joined, q.id) == single[q.id], (q.id, lemmas, capacity)
+            assert counters == {"scan_sets": math.ceil(len(query_set) / capacity), **want}, (lemmas, capacity)
 
 
 def test_resolution_invariance():

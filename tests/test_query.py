@@ -14,7 +14,6 @@ from crowdtrace import (
     extract_candidates,
     ingest,
     irq,
-    irq_unpruned,
     segment,
     filter_noise,
     span_weight,
@@ -164,12 +163,12 @@ def test_irq_results_sorted_by_score_then_id():
     assert results == sorted(results, key=lambda r: (-r[1], r[0]))
 
 
-def test_irq_unpruned_identical_and_counters():
+def test_irq_without_pruning_identical_and_counters():
     w = build_workload(seed=29, n_traj=250, contact_fraction=0.1)
     pruned_counters: dict[str, int] = {}
     plain_counters: dict[str, int] = {}
     got = irq(w.patient, P, w.backend, w.xz_cfg, w.seg_cfg, counters=pruned_counters)
-    want = irq_unpruned(w.patient, P, w.backend, w.xz_cfg, w.seg_cfg, counters=plain_counters)
+    want = irq(w.patient, P, w.backend, w.xz_cfg, w.seg_cfg, lemmas=(), counters=plain_counters)
     assert got == want
     lemma_keys = ["lemma1", "lemma2", "lemma3", "lemma4"]
     assert sum(plain_counters[k] for k in lemma_keys) == 0
