@@ -68,23 +68,37 @@ def _save_meta(store_dir: str, meta: dict) -> None:
     os.replace(tmp, path)
 
 
+def _read_meta(store_dir: str) -> tuple[dict, XzConfig, SegmentationConfig]:
+    """A store's meta.json and the configuration it records. A file that
+    does not hold the fields ``_meta`` writes, each of the type it writes
+    and a value the configurations accept, is refused with one line that
+    names the store."""
+    try:
+        with open(os.path.join(store_dir, META_NAME), "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        like = _meta(XzConfig(), SegmentationConfig())
+        if not isinstance(meta, dict) or meta.keys() != like.keys():
+            raise ValueError(f"it must hold exactly the fields {', '.join(like)}")
+        for key, value in like.items():
+            kind = (int, float) if isinstance(value, float) else type(value)
+            if not isinstance(meta[key], kind) or isinstance(meta[key], bool):
+                raise ValueError(f"{key} must be of type {type(value).__name__}: {meta[key]!r}")
+        if meta["unit"].upper() not in TimeUnit.__members__:
+            raise ValueError(f"unit {meta['unit']!r} is not one of {', '.join(TimeUnit.__members__).lower()}")
+        xz_cfg = XzConfig(resolution=meta["resolution"], epoch=meta["epoch"], period_len=meta["period_len"],
+                          unit=TimeUnit[meta["unit"].upper()], num_shards=meta["num_shards"])
+        seg_cfg = SegmentationConfig(d_seg=meta["d_seg"], t_seg=meta["t_seg"], max_speed=meta["max_speed"])
+    except ValueError as exc:  # a JSONDecodeError too
+        raise CliError(f"store {store_dir!r} has a malformed {META_NAME}: {exc}") from exc
+    return meta, xz_cfg, seg_cfg
+
+
 def _open_store(store_dir: str) -> tuple[FileBackend, XzConfig, SegmentationConfig]:
     meta_path = os.path.join(store_dir, META_NAME)
     log_path = os.path.join(store_dir, LOG_NAME)
     if not (os.path.isfile(meta_path) and os.path.isfile(log_path)):
         raise CliError(f"no store at {store_dir!r} (run ingest first)")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    xz_cfg = XzConfig(
-        resolution=meta["resolution"],
-        epoch=meta["epoch"],
-        period_len=meta["period_len"],
-        unit=TimeUnit[meta["unit"].upper()],
-        num_shards=meta["num_shards"],
-    )
-    seg_cfg = SegmentationConfig(
-        d_seg=meta["d_seg"], t_seg=meta["t_seg"], max_speed=meta["max_speed"]
-    )
+    _, xz_cfg, seg_cfg = _read_meta(store_dir)
     return FileBackend(log_path), xz_cfg, seg_cfg
 
 
@@ -169,12 +183,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     meta = _meta(xz_cfg, seg_cfg)
     meta_path = os.path.join(args.store, META_NAME)
     if os.path.isfile(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-        changed = sorted(k for k in meta.keys() | stored.keys() if stored.get(k) != meta.get(k))
+        stored = _read_meta(args.store)[0]  # with the keys meta has
+        changed = sorted(k for k in meta if stored[k] != meta[k])
         if changed:
-            was = ", ".join(f"{k}={stored.get(k)}" for k in changed)
-            now = ", ".join(f"{k}={meta.get(k)}" for k in changed)
+            was = ", ".join(f"{k}={stored[k]}" for k in changed)
+            now = ", ".join(f"{k}={meta[k]}" for k in changed)
             raise CliError(f"store {args.store!r} was built with {was}; this ingest asks for {now}")
     else:
         os.makedirs(args.store, exist_ok=True)

@@ -56,8 +56,8 @@ class QueryParams:
             raise ValueError(f"lam must be in [0,1]: {self.lam}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [0,1]: {self.theta}")
-        if self.theta_d <= 0 or self.theta_t <= 0:
-            raise ValueError("theta_d and theta_t must be strictly positive")
+        if not (0.0 < self.theta_d < math.inf and 0.0 < self.theta_t < math.inf):
+            raise ValueError(f"theta_d and theta_t must be finite and above 0: {self.theta_d}, {self.theta_t}")
 
 
 class PointArray:

@@ -8,16 +8,17 @@ the records of one trajectory, ``read``, the values at such positions, and
 ``records`` and ``points``, their fields and point blocks as columns. Both
 are one ``SortedIndex`` over one buffer that holds a log: a magic, then
 length-prefixed (key, value) frames. ``put_batch`` appends a batch's frames
-at once, leaving out a put of the bytes a key already holds, and one columnar
-indexer takes every frame into the index, whether just written or replayed:
-each frame takes the next slot, which keeps where its value and point block
-lie in the buffer, how many points the block holds, its fixed 48-byte header
-(box, st, et) and its trajectory id, and its key's slot becomes that one.
-Readers see the keys, headers and ids in key order, as numpy columns, rebuilt
-by the first read after a write. The backends differ only in where the
-buffer lives: ``MemoryBackend`` keeps it in a ``bytearray``; ``FileBackend``
-in a single-file log, replayed on open a chunk of frames at a time, and reads
-it through a read-only map.
+at once, leaving out a put of the bytes a key already holds, and one indexer
+takes every frame into the index, whether just written or replayed: each
+frame takes the next slot, which keeps only where its value lies in the
+buffer and how long it is, and its key's slot becomes that one. Readers see
+the index in key order: the keys, and each live record's fixed 48-byte
+header (box, st, et), trajectory id and point block as numpy columns, parsed
+from the buffer once, by the key-order build that the first read after a
+write makes. The backends differ only in where the buffer lives:
+``MemoryBackend`` keeps it in a ``bytearray``; ``FileBackend`` in a
+single-file log, replayed on open through the read-only map it reads values
+through, with the key-order build at the end.
 
 ``ingest`` hands trajectories, as lon/lat/t columns (``Tracks``), to the
 columnar kernel of ``model`` in batches of about ``BATCH_POINTS`` points; one
@@ -43,7 +44,6 @@ from __future__ import annotations
 import logging
 import math
 import mmap
-import os
 import struct
 from array import array
 from bisect import bisect_left
@@ -100,18 +100,22 @@ _POINT = struct.Struct("<ddq")
 _POINT_DTYPE = np.dtype([("lon", "<f8"), ("lat", "<f8"), ("t", "<i8")])  # _POINT, as columns
 _FRAME = struct.Struct("<II")  # a frame's key and value lengths, then the key, then the value
 _LOG_MAGIC = b"CTLOG1\n"  # a log's first bytes, before its frames
-REPLAY_CHUNK = 1 << 18  # bytes one positional read takes while a log is replayed
 
 
 class _KeyOrder(NamedTuple):
-    """The index in key order: the sorted keys, their slots, each header
-    field as one contiguous column (``_HEADER_DTYPE`` order) and the raw
-    trajectory ids (an object column)."""
+    """The index in key order: the sorted keys, their slots, and their
+    records' fields (``_fields``): each header field as one contiguous column
+    (``_HEADER_DTYPE`` order), the raw trajectory ids (an object column),
+    where each sid starts in the buffer, and where each point block starts
+    and how many points it holds."""
 
     keys: list[bytes]
     slots: np.ndarray
     columns: tuple[np.ndarray, ...]
     ids: np.ndarray
+    sid_at: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
 
 
 class Records(NamedTuple):
@@ -143,76 +147,84 @@ def _meets(field: Callable[[int], np.ndarray], w: MBR, t: TimeRange) -> np.ndarr
     return keep
 
 
+def _gather(raw: np.ndarray, dtype: str, at: np.ndarray, ok: np.ndarray, fill) -> np.ndarray:
+    """The ``dtype`` item at byte ``at[i]`` of ``raw`` where ``ok[i]``, else
+    ``fill``: one index into a view of ``raw`` whose item ``i`` is the one at
+    byte ``i``."""
+    out = np.full(len(at), fill, dtype)
+    if ok.any():  # then raw holds a whole item
+        items = np.ndarray((len(raw) - out.itemsize + 1,), dtype, raw, 0, (1,))
+        out[ok] = items[at[ok]]
+    return out
+
+
+def _fields(buf: bytes | bytearray | mmap.mmap, at: np.ndarray, size: np.ndarray) -> tuple:
+    """The fields of the records whose values lie at byte ``at`` of ``buf``,
+    ``size`` bytes each, each field read only where its value holds it, as
+    ``_KeyOrder`` keeps them: the header columns (``_NO_HEADER`` where the
+    value is too short for it), the raw trajectory ids (None where too
+    short), where the sids start, and where the point blocks start and how
+    many points they hold (the value's offset and -1 where the value is too
+    short for its sid, count or points)."""
+    if isinstance(buf, bytearray):  # its slices are bytearrays, which do not hash; one copy is quicker than many
+        buf = bytes(buf)
+    raw = np.frombuffer(buf, np.uint8)
+    end = at + size
+    heads = _gather(raw, f"V{_HEADER.size}", at, size >= _HEADER.size, np.void(_NO_HEADER)).view(_HEADER_DTYPE)
+    columns = tuple(np.ascontiguousarray(heads[name]) for name in _HEADER_DTYPE.names)
+    id_at = at + _PEEK.size
+    id_end = id_at + _gather(raw, "<u2", at + _HEADER.size, id_at <= end, 0)
+    has_id = (id_at <= end) & (id_end <= end)
+    ids = np.full(len(at), None, object)
+    ids[has_id] = [buf[a:b] for a, b in zip(id_at[has_id].tolist(), id_end[has_id].tolist())]
+    sid_at = id_end + _LEN.size
+    has_sid = has_id & (sid_at <= end)
+    count_at = sid_at + _gather(raw, "<u2", id_end, has_sid, 0)
+    has_count = has_sid & (count_at + _COUNT.size <= end)
+    counts = _gather(raw, "<u4", count_at, has_count, 0).astype(np.int64)
+    starts = count_at + _COUNT.size
+    whole = has_count & (starts + _POINT.size * counts <= end)
+    return columns, ids, sid_at, np.where(whole, starts, at), np.where(whole, counts, -1)
+
+
 class SortedIndex:
     """The sorted key index both backends share.
 
     Each slot holds one frame of the backend's buffer (``_buffer``), which a
-    subclass keeps: where its value and the value's point block lie in the
-    buffer, how many points the block holds, and the value's header bytes and
-    trajectory id. Every frame indexed (``_index``), written or replayed,
-    takes the next slot and gives it to its key, so an overwritten frame
-    leaves an unused slot behind, and a live index equals the one its buffer
-    replays into. ``put_batch`` appends a batch's frames to the buffer at
-    once (``_append``) and indexes them. Readers see the index in key order
-    (``_order``), rebuilt by the first read after a frame is indexed. Every
-    numpy view of the buffer or of a per-slot column is gone before the call
-    that made it returns, so puts may grow them and a map may be closed.
-    Scans must not interleave with writes.
+    subclass keeps: where the frame's value lies in the buffer and how long
+    it is, and nothing of the value itself. Every frame indexed (``_index``),
+    written or replayed, takes the next slot and gives it to its key, so an
+    overwritten frame leaves an unused slot behind, and a live index equals
+    the one its buffer replays into. ``put_batch`` appends a batch's frames
+    to the buffer at once (``_append``) and indexes them. Readers see the
+    index in key order (``_order``), with the fields of each live record
+    parsed from the buffer there, once, rebuilt by the first read after a
+    frame is indexed. Every numpy view of the buffer or of a per-slot column
+    is gone before the call that made it returns, so puts may grow them and
+    a map may be closed. Scans must not interleave with writes.
     """
 
     def __init__(self) -> None:
         self._slot_of: dict[bytes, int] = {}
-        self._headers = bytearray()  # _HEADER.size bytes a slot
-        self._ids: list[bytes | None] = []  # by slot: the value's raw trajectory id; None if too short for it
         self._offsets = array("q")  # by slot: where the value starts in the buffer
         self._lengths = array("I")
-        self._points = array("q")  # where its point block starts in the buffer
-        self._counts = array("q")  # how many points the block holds; -1 if the value is too short for them
         self._sorted: _KeyOrder | None = None  # gone with an indexed frame
 
-    def _index(self, buf: bytes, base: int, starts: list[int]) -> None:
+    def _index(self, buf: bytes | mmap.mmap, base: int, starts: list[int]) -> None:
         """Index the frames starting at ``starts`` in ``buf``, the buffer from
-        offset ``base`` on, each in the next slot: their length fields,
-        headers and id lengths gathered as rows of bytes, their sid lengths
-        and point counts as fields, each by one numpy index; keys and ids
-        sliced. ``buf`` holds each frame's value at least up to its point
-        count. A field that would lie past its value is read at the end of
-        ``buf``, and the value gets no point block."""
-        padded = np.frombuffer(buf + bytes(_PEEK.size), np.uint8)  # so every row below is whole
-        rows = np.ndarray((len(buf) + 1, _PEEK.size), np.uint8, padded, 0, (1, 1))  # row i: bytes i on
+        offset ``base`` on, each in the next slot: their two length fields
+        read by one numpy index, their keys sliced; no value byte is read."""
+        raw = np.frombuffer(buf, np.uint8)
         at = np.array(starts, np.intp)
-        key_len, val_len = rows[at, : _FRAME.size].view("<u4").T.astype(np.intp)
+        # row i: the two length fields at byte i
+        key_len, val_len = np.ndarray((len(raw) - _FRAME.size + 1, 2), "<u4", raw, 0, (1, 4))[at].T
         val_at = at + _FRAME.size + key_len
-        slot = len(self._ids)
+        slot = len(self._offsets)
         keys = [buf[a:b] for a, b in zip((at + _FRAME.size).tolist(), val_at.tolist())]
         self._slot_of.update(zip(keys, range(slot, slot + len(keys))))
-        self._sorted = None
-
-        fields = rows[val_at]  # a value's header and id length, if it is long enough to hold them
-        short = val_len < _HEADER.size
-        if short.any():
-            fields[short, : _HEADER.size] = np.frombuffer(_NO_HEADER, np.uint8)
-        self._headers += fields[:, : _HEADER.size].tobytes()
-        id_len = fields[:, _HEADER.size :].copy().view("<u2")[:, 0].astype(np.intp)
-        id_at = val_at + _PEEK.size
-        ids = [buf[a:b] for a, b in zip(id_at.tolist(), (id_at + id_len).tolist())]
-        for j in np.flatnonzero(val_len < _PEEK.size + id_len).tolist():
-            ids[j] = None  # too short to hold its id field
-        self._ids += ids
-
-        u16 = np.ndarray((len(buf) + 1,), "<u2", padded, 0, (1,))  # item i: the field at byte i
-        u32 = np.ndarray((len(buf) + 1,), "<u4", padded, 0, (1,))
-        val_end = val_at + val_len
-        sid_len_at = np.minimum(id_at + id_len, len(buf))
-        count_at = np.minimum(sid_len_at + _LEN.size + u16[sid_len_at], len(buf))
-        point_at = count_at + _COUNT.size
-        counts = u32[count_at].astype(np.int64)
-        whole = (val_len >= _PEEK.size) & (sid_len_at + _LEN.size <= val_end) & (point_at <= val_end)
-        whole &= point_at + _POINT.size * counts <= val_end
         self._offsets.frombytes((base + val_at).astype(np.int64).tobytes())
         self._lengths.frombytes(val_len.astype(np.uint32).tobytes())
-        self._points.frombytes((base + np.where(whole, point_at, val_at)).astype(np.int64).tobytes())
-        self._counts.frombytes(np.where(whole, counts, -1).tobytes())
+        self._sorted = None
 
     def put(self, key: bytes, value: bytes) -> None:
         self.put_batch([(key, value)])
@@ -253,14 +265,15 @@ class SortedIndex:
         return bytes(self._buffer()[offset : offset + self._lengths[slot]])
 
     def _order(self) -> _KeyOrder:
-        """The index in key order, rebuilt if a frame was indexed."""
+        """The index in key order, rebuilt if a frame was indexed: the live
+        slots' values are parsed for their fields (``_fields``) here."""
         order = self._sorted
         if order is None:  # readers racing here each build the same, whole tuple
             keys = sorted(self._slot_of)
             slots = np.fromiter(map(self._slot_of.__getitem__, keys), np.intp, len(keys))
-            heads = np.frombuffer(self._headers, _HEADER_DTYPE)  # a view: gone before the next put
-            columns = tuple(heads[name][slots] for name in _HEADER_DTYPE.names)  # a field at a time is quicker
-            order = self._sorted = _KeyOrder(keys, slots, columns, np.array(self._ids, object)[slots])
+            at = np.frombuffer(self._offsets, np.int64)[slots]
+            size = np.frombuffer(self._lengths, np.uint32)[slots].astype(np.int64)
+            order = self._sorted = _KeyOrder(keys, slots, *_fields(self._buffer(), at, size))
         return order
 
     def scan(self, low: bytes, high: bytes) -> Iterator[tuple[bytes, bytes]]:
@@ -305,15 +318,13 @@ class SortedIndex:
         such one in key order raises what ``_unpack`` raises on it. The sids
         are the only field sliced a record at a time."""
         order = self._order()
-        slots = order.slots[positions]
-        counts = np.frombuffer(self._counts, np.int64)[slots]
+        counts = order.counts[positions]
         if (counts >= 0).all():
             ids = order.ids[positions].tolist()
-            starts = np.frombuffer(self._points, np.int64)[slots]
-            sid_at = np.frombuffer(self._offsets, np.int64)[slots] + _PEEK.size + _LEN.size
-            sid_at += np.fromiter(map(len, ids), np.int64, len(ids))
+            starts = order.starts[positions]
             buf = self._buffer()
-            sids = [bytes(buf[a:b]) for a, b in zip(sid_at.tolist(), (starts - _COUNT.size).tolist())]
+            sid_at = order.sid_at[positions].tolist()
+            sids = [bytes(buf[a:b]) for a, b in zip(sid_at, (starts - _COUNT.size).tolist())]
             try:  # NUL ends no UTF-8 sequence and starts none, so the join is valid only if every part is
                 b"\x00".join(sids).decode("utf-8")
                 b"\x00".join(set(ids)).decode("utf-8")
@@ -365,120 +376,82 @@ class FileBackend(SortedIndex):
     """Single-file append-only log of length-prefixed frames; a slot's value
     is an (offset, length) in it.
 
-    Opening the log replays it into the index, later frames winning, by
-    positional reads of ``REPLAY_CHUNK`` bytes, indexing the frames wholly
-    inside a read at once without holding the log. ``put_batch`` writes a
+    The log is open as one file object, which appends, maps and truncates.
+    Values are read through a read-only map of the log, made again by a read
+    after appends pass its end, so several threads may scan, refine or
+    gather on one backend at once. Opening the log replays it into the
+    index, later frames winning: the frame heads are walked through the map,
+    every whole frame is indexed by one ``_index`` call, and the key-order
+    view is built, so the first read finds it made. ``put_batch`` writes a
     batch's frames with one write. A torn frame at the tail, left by a
     writer that stopped mid-frame, is skipped on open and cut off by the
     first write, so new frames follow the last whole one; a backend that
-    only reads never changes the file. Values are read through a read-only
-    map of the log, made by the first read and made again by a read after
-    appends pass its end, so several threads may scan, refine or gather on
-    one backend at once. Closing it closes the map and lets the index go.
-    Single writer; scans must not interleave with writes.
+    only reads never changes the file. Closing it closes the map and the
+    file and lets the index go. Single writer; scans must not interleave
+    with writes.
     """
 
     def __init__(self, path: str):
         super().__init__()
         self.path = path
         self._map: mmap.mmap | None = None
-        exists = os.path.exists(path)
-        self._wf = open(path, "ab")
-        if not exists or os.path.getsize(path) == 0:
-            self._wf.write(_LOG_MAGIC)
-            self._wf.flush()
-        self._rf = open(path, "rb", buffering=0)  # for positional reads only
-        self._fd = self._rf.fileno()
+        self._file = open(path, "a+b")  # an append-mode file starts at its end
+        if self._file.tell() == 0:
+            self._file.write(_LOG_MAGIC)
+            self._file.flush()
         try:
             end = self._replay()
         except ValueError:  # not a segment log
             self.close()
             raise
-        self._torn_at = end if self._wf.tell() > end else None
+        self._torn_at = end if self._file.tell() > end else None
 
     def _replay(self) -> int:
-        """Index every whole frame; returns the offset just past the last one.
-
-        A chunk of the log is walked for the frames wholly inside it, which
-        are indexed at once; a frame larger than a chunk is indexed alone
-        (``_index_frame``). A torn frame at the tail ends the replay."""
-        fd = self._fd
-        size = os.fstat(fd).st_size
-        if os.pread(fd, len(_LOG_MAGIC), 0) != _LOG_MAGIC:
+        """Index every whole frame and build the key-order view; returns the
+        offset just past the last whole frame. A torn frame at the tail ends
+        the walk."""
+        buf = self._buffer()
+        if buf[: len(_LOG_MAGIC)] != _LOG_MAGIC:
             raise ValueError(f"{self.path} is not a segment log")
         unpack = _FRAME.unpack_from
-        end = len(_LOG_MAGIC)
+        starts: list[int] = []
+        end, size = len(_LOG_MAGIC), len(buf)
         while end + _FRAME.size <= size:
-            buf = os.pread(fd, min(REPLAY_CHUNK, size - end), end)
-            starts: list[int] = []  # of the whole frames in buf
-            walked, limit = 0, len(buf) - _FRAME.size
-            while walked <= limit:
-                key_len, val_len = unpack(buf, walked)
-                past = walked + _FRAME.size + key_len + val_len
-                if past > len(buf):
-                    break
-                starts.append(walked)
-                walked = past
-            if starts:
-                self._index(buf, end, starts)
-                end += walked
-            else:
-                past = self._index_frame(end, size)
-                if past is None:
-                    break  # torn tail write; ignore the partial frame
-                end = past
+            key_len, val_len = unpack(buf, end)
+            past = end + _FRAME.size + key_len + val_len
+            if past > size:
+                break  # torn tail write; ignore the partial frame
+            starts.append(end)
+            end = past
+        if starts:
+            self._index(buf, 0, starts)
+        self._order()
         return end
-
-    def _index_frame(self, at: int, size: int) -> int | None:
-        """Index the one frame at offset ``at``, reading only its length
-        fields, key, and its value up to its point count; returns the offset
-        past it, or None when the log ends inside it."""
-        frame = os.pread(self._fd, _FRAME.size, at)
-        key_len, val_len = _FRAME.unpack(frame)
-        value = _FRAME.size + key_len  # where the value starts in the frame
-        if at + value + val_len > size:
-            return None
-
-        def upto(n: int) -> None:  # read the frame on to byte n of its value, or to the value's end
-            nonlocal frame
-            frame += os.pread(self._fd, value + min(val_len, n) - len(frame), at + len(frame))
-
-        upto(_PEEK.size)
-        if val_len >= _PEEK.size:  # then the id and the sid length, then the sid and the count
-            n = _PEEK.size + _LEN.unpack_from(frame, value + _HEADER.size)[0] + _LEN.size
-            upto(n)
-            if val_len >= n:
-                upto(n + _LEN.unpack_from(frame, value + n - _LEN.size)[0] + _COUNT.size)
-        self._index(frame, at, [0])
-        return at + value + val_len
 
     def _append(self, frames: bytes) -> int:
         if self._torn_at is not None:
             # frames after the torn one would be lost on the next replay
             log.warning("%s: cutting a torn tail at byte %d", self.path, self._torn_at)
             self._map = None  # it may reach past the cut; no view of it outlives a read
-            self._wf.truncate(self._torn_at)
-            self._wf.seek(self._torn_at)
+            self._file.truncate(self._torn_at)
+            self._file.seek(self._torn_at)
             self._torn_at = None
-        base = self._wf.tell()
-        self._wf.write(frames)
-        self._wf.flush()  # values are read back through the map
+        base = self._file.tell()
+        self._file.write(frames)
+        self._file.flush()  # values are read back through the map
         return base
 
     def _buffer(self) -> mmap.mmap:
-        if self._map is None or len(self._map) < self._wf.tell():  # appends passed its end
-            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)  # an older map closes with its last view
+        if self._map is None or len(self._map) < self._file.tell():  # appends passed its end
+            self._map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)  # an older map closes with its last view
         return self._map
 
     def close(self) -> None:
-        self._wf.flush()
-        self._wf.close()
-        self._rf.close()
         if self._map is not None:
             self._map.close()
+        self._file.close()
         # free the index now, not when the object goes, so the next open can reuse its memory
-        self._slot_of, self._headers, self._ids, self._sorted, self._map = {}, bytearray(), [], None, None
-        self._offsets, self._lengths, self._points, self._counts = array("q"), array("I"), array("q"), array("q")
+        self._slot_of, self._offsets, self._lengths, self._sorted, self._map = {}, array("q"), array("I"), None, None
 
     def __enter__(self) -> "FileBackend":
         return self

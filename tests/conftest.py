@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from crowdtrace import (
+    FileBackend,
     GenConfig,
     Location,
     MemoryBackend,
@@ -15,6 +16,26 @@ from crowdtrace import (
     generate,
     ingest,
 )
+
+_opened: list[FileBackend] = []  # by open_backend, closed when the test ends
+
+
+@pytest.fixture(autouse=True)
+def _close_opened_backends():
+    yield
+    while _opened:
+        _opened.pop().close()
+
+
+def open_backend(kind: str, tmp_path):
+    """A ``MemoryBackend``, or for ``kind`` "file" a ``FileBackend`` on
+    ``segments.log`` in ``tmp_path``, closed when the test ends."""
+    if kind == "memory":
+        return MemoryBackend()
+    backend = FileBackend(str(tmp_path / "segments.log"))
+    _opened.append(backend)
+    return backend
+
 
 # degrees of longitude/latitude per meter near the default test latitude (39.9N)
 M_PER_DEG_LAT = math.pi * 6_371_008.8 / 180.0

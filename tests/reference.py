@@ -24,9 +24,10 @@ form: for each ``sft_build`` chunk of queries, one ``st_query`` per segment
 window of its queries, and each query ranked as ``irq`` ranks it over the
 chunk's candidates.
 
-``replay`` is ``FileBackend``'s log replay as one loop over frames, taking
-each value's header and trajectory id in turn; the chunked columnar replay
-must build the same index. ``load_trajectory`` is the lookup that scanned and
+``replay`` is ``FileBackend``'s log replay as one loop over frames read from
+the file, and ``record_fields`` the fields of one value, read by ``struct``;
+the replay through the map must build the same slots, and the key-order
+build the same fields for every live record. ``load_trajectory`` is the lookup that scanned and
 peeked every record; the lookup through the index's id column must return
 the same trajectory or raise the same error. ``write_points_csv`` is the
 ``csv.writer`` loop the points CSV was written with; the faster writer must
@@ -54,7 +55,7 @@ from crowdtrace.metric import PointArray, QueryParams, segment_ir, span_weight
 from crowdtrace.model import MBR, Location, Segment, SegmentationConfig, TimeRange, Trajectory
 from crowdtrace.query import ALL_LEMMAS, COUNTER_KEYS
 from crowdtrace.store import (
-    _COUNT, _FRAME, _HEADER, _LEN, _LOG_MAGIC, _NO_HEADER, _PEEK, _POINT, _POINT_DTYPE, REPLAY_CHUNK, Retrieved,
+    _COUNT, _FRAME, _HEADER, _LEN, _LOG_MAGIC, _NO_HEADER, _PEEK, _POINT, _POINT_DTYPE, Retrieved,
     _unpack, _window_positions, decode_segment, encode_segment, expand_boxes, st_query,
 )
 from crowdtrace.xz import XzConfig, XzElement, bin_of, encode_key, sequence_code
@@ -381,55 +382,51 @@ def load_trajectory(backend, traj_id: str) -> Trajectory | None:
 
 def replay(backend) -> int:
     """Index every whole frame of an opened ``FileBackend``'s log, one frame
-    at a time; returns the offset just past the last one. Each frame takes
-    the next slot, its value's header (``_NO_HEADER`` when too short) and the
-    raw bytes of its length-prefixed trajectory id (None when too short),
-    and where its point block starts and how many points it holds (the
-    value's offset and -1 when it is too short for its sid, count or points)."""
-    fd = backend._fd
-    size = os.fstat(fd).st_size
-    if os.pread(fd, len(_LOG_MAGIC), 0) != _LOG_MAGIC:
-        raise ValueError(f"{backend.path} is not a segment log")
-    end = len(_LOG_MAGIC)
-    buf, base = b"", end  # buf holds the log from offset base on
-
-    def have(upto: int) -> None:
-        nonlocal buf, base
-        if upto > base + len(buf):
-            buf, base = os.pread(fd, max(REPLAY_CHUNK, upto - end), end), end
-
-    while end + _FRAME.size <= size:
-        have(end + _FRAME.size)
-        key_len, val_len = _FRAME.unpack_from(buf, end - base)
-        offset = end + _FRAME.size + key_len
-        if offset + val_len > size:
-            break  # torn tail write; ignore the partial frame
-        have(offset + min(val_len, _PEEK.size))
-        backend._slot_of[buf[offset - key_len - base : offset - base]] = len(backend._offsets)
-        head = buf[offset - base : offset + _HEADER.size - base] if val_len >= _HEADER.size else _NO_HEADER
-        traj_id = None
-        if val_len >= _PEEK.size:
-            id_end = offset + _PEEK.size + _LEN.unpack_from(buf, offset + _HEADER.size - base)[0]
-            if id_end <= offset + val_len:
-                have(id_end)
-                traj_id = buf[offset + _PEEK.size - base : id_end - base]
-        point_at, count = offset, -1  # the point block, when the value holds its sid, count and points
-        if traj_id is not None and id_end + _LEN.size <= offset + val_len:
-            have(id_end + _LEN.size)
-            count_at = id_end + _LEN.size + _LEN.unpack_from(buf, id_end - base)[0]
-            if count_at + _COUNT.size <= offset + val_len:
-                have(count_at + _COUNT.size)
-                n = _COUNT.unpack_from(buf, count_at - base)[0]
-                if count_at + _COUNT.size + n * _POINT.size <= offset + val_len:
-                    point_at, count = count_at + _COUNT.size, n
-        backend._headers += head
-        backend._ids.append(traj_id)
-        backend._offsets.append(offset)
-        backend._lengths.append(val_len)
-        backend._points.append(point_at)
-        backend._counts.append(count)
-        end = offset + val_len
+    at a time, read from the file; returns the offset just past the last one.
+    Each frame takes the next slot, which keeps where its value starts and
+    how long it is, and its key's slot becomes that one. Sets
+    ``backend.fields``: each live key's ``record_fields``."""
+    live = {}  # a key -> where its latest value starts, and the value
+    with open(backend.path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_LOG_MAGIC)) != _LOG_MAGIC:
+            raise ValueError(f"{backend.path} is not a segment log")
+        end = len(_LOG_MAGIC)
+        while end + _FRAME.size <= size:
+            key_len, val_len = _FRAME.unpack(fh.read(_FRAME.size))
+            offset = end + _FRAME.size + key_len
+            if offset + val_len > size:
+                break  # torn tail write; ignore the partial frame
+            key, value = fh.read(key_len), fh.read(val_len)
+            backend._slot_of[key] = len(backend._offsets)
+            backend._offsets.append(offset)
+            backend._lengths.append(val_len)
+            live[key] = offset, value
+            end = offset + val_len
+    backend.fields = {key: record_fields(*live[key]) for key in backend._slot_of}
     return end
+
+
+def record_fields(offset: int, value: bytes) -> tuple:
+    """The fields the index finds in the value at byte ``offset`` of a log:
+    its header bytes (``_NO_HEADER`` when too short), the raw bytes of its
+    length-prefixed trajectory id (None when too short), and its raw sid,
+    where its point block starts and how many points it holds (None, the
+    value's offset and -1 when it is too short for its sid, count or
+    points)."""
+    head = value[: _HEADER.size] if len(value) >= _HEADER.size else _NO_HEADER
+    traj_id, sid, point_at, count = None, None, offset, -1
+    if len(value) >= _PEEK.size:
+        id_end = _PEEK.size + _LEN.unpack_from(value, _HEADER.size)[0]
+        if id_end <= len(value):
+            traj_id = value[_PEEK.size : id_end]
+        if traj_id is not None and id_end + _LEN.size <= len(value):
+            count_at = id_end + _LEN.size + _LEN.unpack_from(value, id_end)[0]
+            if count_at + _COUNT.size <= len(value):
+                n = _COUNT.unpack_from(value, count_at)[0]
+                if count_at + _COUNT.size + n * _POINT.size <= len(value):
+                    sid, point_at, count = value[id_end + _LEN.size : count_at], offset + count_at + _COUNT.size, n
+    return head, traj_id, sid, point_at, count
 
 
 # all keys are 13 header bytes plus a UTF-8 sid, so this high bound tops them

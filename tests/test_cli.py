@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -153,7 +154,8 @@ def test_bench_theta_schema(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"sweep_param", "value", "algo", "median_ms", "result_count"}
     assert {r["algo"] for r in rows} == {"irq", "irq_up", "irjq", "irjq_up"}
     assert {r["value"] for r in rows} == {"0.3", "0.4", "0.5", "0.6", "0.7"}
@@ -336,3 +338,50 @@ def test_ingest_of_a_timestamp_past_the_key_is_one_line_error(tmp_path, capsys, 
         assert log_frames(store / "segments.log") == []
     else:
         assert len(log_frames(store / "segments.log")) == 1
+
+
+@pytest.mark.parametrize("command", ["query", "join"])
+@pytest.mark.parametrize("flag, value", [("--theta-t", "inf"), ("--theta-t", "nan"), ("--theta-d", "inf"),
+                                         ("--theta-d", "nan"), ("--theta-d", "-inf")])
+def test_a_reach_that_is_not_finite_is_one_line_error(tmp_path, capsys, command, flag, value):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    store = tmp_path / "store"
+    run(["ingest", "--input", str(points), "--store", str(store)], capsys)
+    source = ["--traj-id", "alpha"] if command == "query" else ["--query-csv", str(points)]
+    code, out, err = run([command, "--store", str(store), *source, f"{flag}={value}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "theta_d and theta_t must be finite and above 0" in err
+
+
+_BAD_META = {
+    "empty": "{}",
+    "unknown unit": None,  # the meta ingest wrote, with its unit replaced
+    "text resolution": None,  # the same, with its resolution as text
+    "a list": "[1]",
+    "not JSON": "{resolution",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_META))
+@pytest.mark.parametrize("command", ["query", "join", "ingest"])
+def test_a_malformed_meta_is_one_line_error(tmp_path, capsys, case, command):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    store = tmp_path / "store"
+    assert run(["ingest", "--input", str(points), "--store", str(store)], capsys)[0] == 0
+    meta = json.loads((store / "meta.json").read_text())
+    if case == "unknown unit":
+        meta["unit"] = "fortnight"
+    if case == "text resolution":
+        meta["resolution"] = "15"
+    (store / "meta.json").write_text(_BAD_META[case] or json.dumps(meta))
+    log = (store / "segments.log").read_bytes()
+    argv = {"query": ["query", "--traj-id", "alpha"], "join": ["join", "--query-csv", str(points)],
+            "ingest": ["ingest", "--input", str(points)]}[command]
+    code, out, err = run([*argv, "--store", str(store)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert repr(str(store)) in err and "meta.json" in err
+    assert (store / "segments.log").read_bytes() == log

@@ -1,11 +1,12 @@
-"""The index's trajectory-id column and the chunked log replay that fills it,
-against the one-frame-at-a-time replay and the scanning lookup kept in
-``reference``; and the index that writes build, against the replay of the
-log they write."""
+"""The index's slots and the log replay that fills them, with the fields
+the key-order build parses from each live record, against the
+one-frame-at-a-time replay and field parse kept in ``reference``; the
+trajectory-id column against the scanning lookup kept there; and the index
+that writes build, against the replay of the log they write."""
 
-import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from crowdtrace import (
     load_trajectory,
 )
 from crowdtrace.xz import encode_key
-from conftest import loc, random_trajectory
+from conftest import loc, open_backend as _open, random_trajectory
 
 CFG = XzConfig(resolution=10)
 SEG = SegmentationConfig()
@@ -36,16 +37,37 @@ class ReferenceFileBackend(FileBackend):
 
 
 def slots(backend):
-    """The index of either backend: slots, headers, ids, offsets and
-    lengths, point blocks and counts."""
-    return (backend._slot_of, bytes(backend._headers), backend._ids, list(backend._offsets),
-            list(backend._lengths), list(backend._points), list(backend._counts))
+    """The index of either backend: each key's slot, and where each slot's
+    value lies in the buffer and how long it is."""
+    return backend._slot_of, list(backend._offsets), list(backend._lengths)
+
+
+def key_order(backend):
+    """Each live key, in key order, with the fields the key-order build
+    found in its record, as ``reference.record_fields`` gives them."""
+    order = backend._order()
+    assert order.slots.tolist() == [backend._slot_of[key] for key in order.keys]
+    heads = np.empty(len(order.keys), store._HEADER_DTYPE)
+    for name, column in zip(store._HEADER_DTYPE.names, order.columns):
+        heads[name] = column
+    buf = backend._buffer()
+    sids = [bytes(buf[a : b - store._COUNT.size]) if n >= 0 else None
+            for a, b, n in zip(order.sid_at.tolist(), order.starts.tolist(), order.counts.tolist())]
+    fields = zip([head.tobytes() for head in heads], order.ids.tolist(), sids, order.starts.tolist(),
+                 order.counts.tolist())
+    return list(zip(order.keys, fields))
 
 
 def index_state(backend):
-    """Everything a replay builds: the index, and where the next write cuts
-    a torn tail."""
-    return (*slots(backend), backend._torn_at)
+    """Everything a replay builds: the slots, the key-order fields, and
+    where the next write cuts a torn tail."""
+    return (*slots(backend), key_order(backend), backend._torn_at)
+
+
+def reference_state(backend):
+    """``index_state`` of a ``ReferenceFileBackend``, its fields parsed
+    one record at a time."""
+    return (*slots(backend), sorted(backend.fields.items()), backend._torn_at)
 
 
 def write_log(path, frames, tail=b""):
@@ -58,7 +80,7 @@ def write_log(path, frames, tail=b""):
 
 def assert_replays_agree(path):
     with FileBackend(str(path)) as got, ReferenceFileBackend(str(path)) as want:
-        assert index_state(got) == index_state(want)
+        assert index_state(got) == reference_state(want)
 
 
 def _segment_value(traj_id: str, n_points: int = 2, ordinal: int = 0) -> bytes:
@@ -74,7 +96,7 @@ _IDS = st.one_of(st.sampled_from(["a", "a#0", "b#", "é", "日本", "t00001", "\
 def _values(draw):
     """A value of any length a log may hold: shorter than a header, shorter
     than its id field, cut after its id (in its sid, count or points), a
-    whole segment record, one with trailing bytes, or one larger than a chunk."""
+    whole segment record, one with trailing bytes, or one with many points."""
     kind = draw(st.sampled_from(["short", "no id length", "cut id", "cut after id", "segment", "long", "large"]))
     if kind == "short":
         size = draw(st.one_of(st.integers(0, store._HEADER.size - 1), st.just(store._HEADER.size - 1)))
@@ -101,24 +123,20 @@ _KEYS = st.sampled_from([b"", b"k0", b"k1", b"k2", b"\x00\xff", b"K" * 200])
 @given(
     frames=st.lists(st.tuples(_KEYS, _values()), max_size=25),
     tail=st.binary(max_size=12),
-    chunk=st.sampled_from([1, 7, 8, 9, 60, 200, 1000, store.REPLAY_CHUNK]),
 )
 @settings(max_examples=300, deadline=None)
-def test_replay_matches_reference(tmp_path_factory, frames, tail, chunk):
+def test_replay_matches_reference(tmp_path_factory, frames, tail):
     path = tmp_path_factory.mktemp("log") / "segments.log"
     write_log(path, frames, tail)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(store, "REPLAY_CHUNK", chunk)
-        assert_replays_agree(path)
+    assert_replays_agree(path)
 
 
 @given(
     frames=st.lists(st.tuples(_KEYS, _values()), max_size=25),
     again=st.lists(st.integers(0, 24), max_size=8),
-    chunk=st.sampled_from([7, 60, store.REPLAY_CHUNK]),
 )
 @settings(max_examples=150, deadline=None)
-def test_writes_and_replay_build_one_index(tmp_path_factory, frames, again, chunk):
+def test_writes_and_replay_build_one_index(tmp_path_factory, frames, again):
     puts = frames + [frames[i % len(frames)] for i in again] if frames else []
     log = bytearray(store._LOG_MAGIC)  # every put's frame, but for one of the bytes its key holds
     held = {}
@@ -134,20 +152,20 @@ def test_writes_and_replay_build_one_index(tmp_path_factory, frames, again, chun
             by_put.put(key, value)
             memory.put(key, value)
         by_batch.put_batch(puts)
-        live = [slots(backend) for backend in (by_put, by_batch, memory)]
+        live = [(*slots(backend), key_order(backend)) for backend in (by_put, by_batch, memory)]
     assert live[0] == live[1] == live[2]
     assert paths[0].read_bytes() == paths[1].read_bytes() == bytes(memory._values) == log
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(store, "REPLAY_CHUNK", chunk)
-        for path in paths:
-            with FileBackend(str(path)) as reopened:
-                assert index_state(reopened) == (*live[0], None)
+    for path in paths:
+        with FileBackend(str(path)) as reopened, ReferenceFileBackend(str(path)) as want:
+            assert index_state(reopened) == reference_state(want) == (*live[0], None)
 
 
-@pytest.mark.parametrize("chunk", [8, 64, 300, store.REPLAY_CHUNK])
-def test_replay_of_a_tail_torn_at_every_byte(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(store, "REPLAY_CHUNK", chunk)
-    frames = [(b"k%d" % i, _segment_value(f"t{i}", n_points=i + 1)) for i in range(5)]
+@pytest.mark.parametrize("lead", [8, 64, 300, 262144])
+def test_replay_of_a_tail_torn_at_every_byte(tmp_path, lead):
+    # a first value of ``lead`` bytes moves the torn frame across the map's
+    # pages: short of a header, inside the first page, and 64 pages in
+    frames = [(b"lead", bytes(range(256)) * (lead // 256) + bytes(lead % 256))]
+    frames += [(b"k%d" % i, _segment_value(f"t{i}", n_points=i + 1)) for i in range(5)]
     frames.append((b"k1", _segment_value("é#1", n_points=4)))  # an overwrite, last
     path = tmp_path / "segments.log"
     write_log(path, frames)
@@ -158,22 +176,20 @@ def test_replay_of_a_tail_torn_at_every_byte(tmp_path, monkeypatch, chunk):
         assert_replays_agree(path)
         with FileBackend(str(path)) as backend:
             assert backend._torn_at == (last if last < cut < len(whole) else None)
-            assert len(backend._ids) == len(frames) - (cut < len(whole))
+            assert len(backend._offsets) == len(frames) - (cut < len(whole))
 
 
-def test_replay_reads_a_large_value_only_up_to_its_id(tmp_path, monkeypatch):
+def test_replay_reads_a_large_value_only_up_to_its_id(tmp_path):
     path = tmp_path / "segments.log"
     big = _segment_value("big", n_points=50_000)  # 1.2 MB
     key = b"K" * 100
     write_log(path, [(b"k0", _segment_value("a")), (key, big), (b"k2", _segment_value("b"))])
-    monkeypatch.setattr(store, "REPLAY_CHUNK", 64)
-    reads = []
-    pread = os.pread
-    monkeypatch.setattr(os, "pread", lambda fd, n, at: reads.append(n) or pread(fd, n, at))
-    with FileBackend(str(path)) as backend:
-        assert backend._ids == [b"a", b"big", b"b"]
-    assert max(reads) <= 64 + len(key) + store._PEEK.size + len(b"big")
-    assert sum(reads) < 2_000
+    with FileBackend(str(path)) as backend, ReferenceFileBackend(str(path)) as want:
+        assert index_state(backend) == reference_state(want)
+        order = backend._order()
+        assert order.keys == [key, b"k0", b"k2"] and order.ids.tolist() == [b"big", b"a", b"b"]
+        assert order.counts.tolist() == [50_000, 2, 2]
+        assert len(load_trajectory(backend, "big")) == 50_000
 
 
 def test_replay_keeps_the_foreign_file_error(tmp_path):
@@ -184,10 +200,6 @@ def test_replay_keeps_the_foreign_file_error(tmp_path):
 
 
 # --- lookup -------------------------------------------------------------------------
-
-
-def _open(kind, tmp_path):
-    return MemoryBackend() if kind == "memory" else FileBackend(str(tmp_path / "segments.log"))
 
 
 def assert_lookups_agree(backend, ids):
@@ -264,7 +276,7 @@ def test_values_too_short_for_an_id_match_no_lookup(tmp_path, kind):
     backend.put(b"1", whole[: store._PEEK.size - 1])
     backend.put(b"2", whole[: store._PEEK.size])  # the id length, not the id
     backend.put(b"3", whole)
-    assert backend._ids == [None, None, None, b"a"]
+    assert backend._order().ids.tolist() == [None, None, None, b"a"]
     assert backend.positions_of("a").tolist() == [3]
     assert backend.positions_of("").tolist() == []
     assert backend.positions_of("\udcff").tolist() == []  # no UTF-8 id is this string

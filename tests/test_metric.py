@@ -236,3 +236,10 @@ def test_st_dist_monotone_in_lam_when_spatial_dominates():
     v = loc(10, 0, 110)  # spatial term clearly above the temporal one
     scores = [st_dist(l, v, QueryParams(lam=lam)) for lam in (0.0, 0.3, 0.6, 1.0)]
     assert scores == sorted(scores)
+
+
+@pytest.mark.parametrize("reach", [dict(theta_d=math.inf), dict(theta_t=math.inf), dict(theta_d=math.nan),
+                                   dict(theta_t=math.nan), dict(theta_d=0.0), dict(theta_t=-1.0)])
+def test_query_params_refuse_a_reach_that_is_not_finite_and_above_zero(reach):
+    with pytest.raises(ValueError, match="theta_d and theta_t must be finite and above 0"):
+        QueryParams(**reach)

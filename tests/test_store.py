@@ -30,7 +30,7 @@ from crowdtrace import (
 import crowdtrace.store as store
 from crowdtrace.store import expand_time_range, st_read
 from crowdtrace.xz import KEY_HEAD, bin_of, encode_key, period_spans, st_scan_ranges
-from conftest import loc
+from conftest import loc, open_backend as _open
 import reference
 from reference import ALL_KEYS, expand_mbr, peek_header, scan_all
 
@@ -266,24 +266,18 @@ def _segment_value(i: int, east: float = 0.0, t0: int = 100) -> bytes:
 
 
 def assert_header_columns(backend, want: dict[bytes, bytes]):
-    """The backend holds ``want``, and its header columns are the header of
-    every stored value, in key order, to the bit (so a -0.0 corner stays -0.0),
-    both by slot and as the key-ordered columns the window tests read."""
+    """The backend holds ``want``, and the key-ordered header columns the
+    window tests read are the header of every stored value, in key order, to
+    the bit (so a -0.0 corner stays -0.0)."""
     order = backend._order()
-    heads = np.frombuffer(backend._headers, store._HEADER_DTYPE)[order.slots]
     stored = list(backend.scan(b"", b"\xff" * 64))
     assert stored == sorted(want.items())
     assert order.keys == [k for k, _ in stored]
+    heads = np.empty(len(stored), store._HEADER_DTYPE)
+    for name, column in zip(store._HEADER_DTYPE.names, order.columns):
+        heads[name] = column
     assert [tuple(h) for h in heads.tolist()] == [peek_header(v)[:6] for _, v in stored]
     assert heads.tobytes() == b"".join(v[: store._HEADER.size] for _, v in stored)
-    columns = np.empty(len(stored), store._HEADER_DTYPE)
-    for name, column in zip(store._HEADER_DTYPE.names, order.columns):
-        columns[name] = column
-    assert columns.tobytes() == heads.tobytes()
-
-
-def _open(kind, tmp_path):
-    return MemoryBackend() if kind == "memory" else FileBackend(str(tmp_path / "segments.log"))
 
 
 EVERYWHERE = (MBR(-180.0, -90.0, 180.0, 90.0), TimeRange(-(2**70), 2**70))
