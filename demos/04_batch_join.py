@@ -1,12 +1,13 @@
 """Query many patients at once without hammering the store.
 
 Running the single query per patient reads the store once per patient. The
-batch join instead orders the patients by the quadtree cell of their first
-segment's min corner, then by its start time, cuts that order into chunks of
-at most ``capacity`` patients, and issues ONE read per chunk over all of its
-patients' segment windows, so nearby patients share I/O. Each patient is then
-ranked by the single query's own scoring loop, so the results and the pruning
-counters are identical to the per-patient queries, bit for bit.
+batch join instead orders the patients by the cell code the store keys their
+first segment under (the store's own curve code, at its index resolution),
+then by its start time, cuts that order into chunks of at most ``capacity``
+patients, and issues ONE read per chunk over all of its patients' segment
+windows, so nearby patients share I/O. Each patient is then ranked by the
+single query's own scoring loop, so the results and the pruning counters are
+identical to the per-patient queries, bit for bit.
 """
 
 from crowdtrace import (
@@ -35,7 +36,7 @@ capacity = 5
 
 cuts = query_segments(query_set, seg_cfg)  # every query cut in one kernel pass
 n_segments = sum(len(segs) for segs, _ in cuts)
-chunks = sft_build([segs[0] for segs, _ in cuts], resolution=15, capacity=capacity)
+chunks = sft_build([segs[0] for segs, _ in cuts], xz_cfg, capacity=capacity)
 print(f"{len(query_set)} queries ({n_segments} segments) -> {len(chunks)} chunks of at most {capacity} queries")
 for chunk in chunks:
     print(f"  chunk: {', '.join(query_set[k].id for k in chunk)}")

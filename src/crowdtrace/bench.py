@@ -2,7 +2,9 @@
 
 Each suite sweeps one parameter across pruned and unpruned engine variants on
 a seeded synthetic workload and reports the median wall time of 5 repetitions
-plus the result count, as tidy rows ready for CSV.
+plus the result count, as tidy rows ready for CSV. ``resolution`` is the
+store's index resolution and ``data_size`` its trajectory count, so those two
+build one workload per value; the others share one.
 """
 
 from __future__ import annotations
@@ -92,16 +94,14 @@ def median_ms(fn: Callable[[], object], repeats: int = 5) -> tuple[float, object
     return statistics.median(times), result
 
 
-def _algos(workload: BenchWorkload, params: QueryParams, resolution: int = 15):
+def _algos(workload: BenchWorkload, params: QueryParams):
     """Each engine with every pruning rule, and with none (``_up``)."""
     w = workload
     return {
         "irq": lambda: [irq(q, params, w.backend, w.xz_cfg, w.seg_cfg) for q in w.query_set],
         "irq_up": lambda: [irq(q, params, w.backend, w.xz_cfg, w.seg_cfg, lemmas=()) for q in w.query_set],
-        "irjq": lambda: irjq(w.query_set, params, w.backend, w.xz_cfg, w.seg_cfg, resolution=resolution),
-        "irjq_up": lambda: irjq(
-            w.query_set, params, w.backend, w.xz_cfg, w.seg_cfg, resolution=resolution, lemmas=()
-        ),
+        "irjq": lambda: irjq(w.query_set, params, w.backend, w.xz_cfg, w.seg_cfg),
+        "irjq_up": lambda: irjq(w.query_set, params, w.backend, w.xz_cfg, w.seg_cfg, lemmas=()),
     }
 
 
@@ -126,10 +126,9 @@ def run_suite(
     base = workload
     rows = []
     for value in SWEEP_VALUES[suite]:
-        if base is None and suite != "data_size":
+        if base is None and suite not in ("data_size", "resolution"):
             base = build_workload(n_traj=n_traj, seed=seed, query_size=query_size)
         params = QueryParams()
-        resolution = 15
         w = base
         if suite == "lambda":
             params = QueryParams(lam=value)
@@ -140,16 +139,13 @@ def run_suite(
         elif suite == "theta_t":
             params = QueryParams(theta_t=value)
         elif suite == "resolution":
-            resolution = value
+            w = build_workload(n_traj=n_traj, seed=seed, query_size=query_size, xz_cfg=XzConfig(resolution=value))
         elif suite == "query_size":
             w = replace(base, query_set=base.trajectories[:value])
         elif suite == "data_size":
             w = build_workload(n_traj=value, seed=seed, query_size=query_size)
 
-        algos = _algos(w, params, resolution)
-        if suite == "resolution":
-            algos = {name: fn for name, fn in algos.items() if name.startswith("irjq")}
-        for name, fn in algos.items():
+        for name, fn in _algos(w, params).items():
             ms, result = median_ms(fn, repeats)
             rows.append(
                 {

@@ -232,7 +232,6 @@ def cmd_join(args: argparse.Namespace) -> int:
             backend,
             xz_cfg,
             seg_cfg,
-            resolution=args.resolution,
             capacity=args.leaf_capacity,
             counters=counters,
         )
@@ -307,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_join.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")
     p_join.add_argument("--query-csv", required=True, help="points CSV with the query set")
     _add_param_flags(p_join)
-    p_join.add_argument("--resolution", type=int, default=15,
-                        help="quadtree depth (0 to 64) of the cells that order queries into scan sets")
     p_join.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY,
                         help="queries per scan set, each set one store read (at least 1)")
     p_join.add_argument("--explain", action="store_true", help="append '#' counter lines")

@@ -46,6 +46,11 @@ class GenConfig:
             raise ValueError("invalid points range")
         if not 0.0 <= self.contact_fraction <= 1.0:
             raise ValueError("contact_fraction must be in [0,1]")
+        if not (0.0 <= self.contact_dist < math.inf and 0.0 <= self.contact_dt < math.inf):
+            raise ValueError(f"contact_dist and contact_dt must be finite and at least 0: "
+                             f"{self.contact_dist}, {self.contact_dt}")
+        if not 0.0 <= self.dwell_prob <= 1.0:
+            raise ValueError(f"dwell_prob must be in [0,1]: {self.dwell_prob}")
 
 
 def _traj_id(i: int) -> str:

@@ -1,13 +1,13 @@
 """Batch contact join: the single query's ranking over reads that many queries share.
 
 Every query is cut into segments as ``irq`` cuts it, all of them in one pass
-(``query_segments``). ``sft_build`` orders the queries by the quadtree cell,
-``resolution`` levels deep, that holds the min corner of their first
-segment's box, cells in visit order, then by that segment's start time, and
-cuts that order into chunks of at most ``capacity`` queries. Each chunk is one
-scan set: ONE ``extract_candidates`` read over all of its queries' segments,
-so nearby queries share I/O, and ``touches[i, c]`` is the reach test of the
-window of segment ``i``.
+(``query_segments``). ``sft_build`` orders the queries by the cell code the
+store would key their first segment under (``xz.xz2_codes`` at the store's
+own ``XzConfig``), then by that segment's start time, and cuts that order
+into chunks of at most ``capacity`` queries. Each chunk is one scan set: ONE
+``extract_candidates`` read over all of its queries' segments, so nearby
+queries share I/O, and ``touches[i, c]`` is the reach test of the window of
+segment ``i``.
 
 Each query is then ranked by ``query.rank`` over its own rows of the chunk's
 read, as ``irq`` ranks it: the same rules, counters and float order, so on a
@@ -19,59 +19,34 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 # filter_noise, segment, segment_ir and st_query stay bound here: perfbench's tracer wraps them in this module
 from .metric import PointArray, QueryParams, segment_ir
-from .model import MBR, WORLD, Segment, SegmentationConfig, Trajectory, filter_noise, segment
+from .model import Segment, SegmentationConfig, Trajectory, filter_noise, segment
 from .query import ALL_LEMMAS, COUNTER_KEYS, QuerySegment, extract_candidates, query_segments, rank
 from .store import SortedIndex, st_query
-from .xz import XzConfig
+from .xz import XzConfig, xz2_codes
 
 DEFAULT_LEAF_CAPACITY = 64
-MAX_RESOLUTION = 64  # past about 54 halvings the world box's float midpoints stop moving
 
 JOIN_COUNTER_KEYS = ("scan_sets", *COUNTER_KEYS)
 
-# visit rank of each quadrant digit (bit 0: east half, bit 1: north half):
-# north-east first, then south-east, south-west, north-west
-_QUADRANT_RANK = (2, 1, 3, 0)
-
-
-def _cell_key(box: MBR, resolution: int) -> int:
-    """Visit-order key of the depth-``resolution`` cell holding the box's min corner.
-
-    Each level halves the cell at its midpoint and appends one base-4 digit,
-    so sorting keys visits cells depth-first in quadrant rank order.
-    """
-    lon_lo, lat_lo, lon_hi, lat_hi = WORLD.min_lon, WORLD.min_lat, WORLD.max_lon, WORLD.max_lat
-    key = 0
-    for _ in range(resolution):
-        mid_lon = (lon_lo + lon_hi) / 2.0
-        mid_lat = (lat_lo + lat_hi) / 2.0
-        east = box.min_lon >= mid_lon
-        north = box.min_lat >= mid_lat
-        if east:
-            lon_lo = mid_lon
-        else:
-            lon_hi = mid_lon
-        if north:
-            lat_lo = mid_lat
-        else:
-            lat_hi = mid_lat
-        key = key * 4 + _QUADRANT_RANK[east | north << 1]
-    return key
-
 
 def sft_build(
-    segments: Sequence[Segment | QuerySegment], resolution: int, capacity: int = DEFAULT_LEAF_CAPACITY
+    segments: Sequence[Segment | QuerySegment], cfg: XzConfig, capacity: int = DEFAULT_LEAF_CAPACITY
 ) -> list[list[int]]:
     """The join's scan sets, as positions into ``segments``: ordered by the
-    cell of each box's min corner, cells in visit order, then by start time
-    (ties keep their input order), and cut into chunks of at most ``capacity``."""
+    ``xz2_codes`` cell code of each box under ``cfg``, its corners clamped to
+    ``cfg.world`` (a query outside it joins and finds nothing, as ``irq``
+    does), then by start time (ties keep their input order), and cut into
+    chunks of at most ``capacity``."""
     if capacity < 1:
         raise ValueError(f"leaf capacity must be at least 1, got {capacity}")
-    if not 0 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be in [0, {MAX_RESOLUTION}], got {resolution}")
-    order = sorted(range(len(segments)), key=lambda k: (_cell_key(segments[k].mbr, resolution), segments[k].st))
+    w = cfg.world
+    boxes = np.array([(s.mbr.min_lon, s.mbr.min_lat, s.mbr.max_lon, s.mbr.max_lat) for s in segments]).reshape(-1, 4)
+    codes = xz2_codes(*np.clip(boxes, (w.min_lon, w.min_lat) * 2, (w.max_lon, w.max_lat) * 2).T, cfg)
+    order = np.lexsort(([s.st for s in segments], codes)).tolist()
     return [order[k : k + capacity] for k in range(0, len(order), capacity)]
 
 
@@ -82,7 +57,6 @@ def irjq(
     cfg: XzConfig,
     seg_cfg: SegmentationConfig | None = None,
     *,
-    resolution: int = 15,
     capacity: int = DEFAULT_LEAF_CAPACITY,
     lemmas: frozenset[int] | tuple[int, ...] = ALL_LEMMAS,
     counters: dict[str, int] | None = None,
@@ -99,7 +73,7 @@ def irjq(
         raise ValueError("query set contains duplicate trajectory ids")
 
     cuts = query_segments(query_set, seg_cfg or SegmentationConfig())
-    chunks = sft_build([segs[0] for segs, _ in cuts], resolution, capacity)
+    chunks = sft_build([segs[0] for segs, _ in cuts], cfg, capacity)
     tally = {} if counters is None else counters
     tally["scan_sets"] = tally.get("scan_sets", 0) + len(chunks)
     lemmas = frozenset(lemmas)

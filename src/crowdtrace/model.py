@@ -193,8 +193,9 @@ class SegmentationConfig:
     max_speed: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.d_seg <= 0 or self.t_seg <= 0 or self.max_speed <= 0:
-            raise ValueError("segmentation thresholds must be strictly positive")
+        if not all(0 < v < math.inf for v in (self.d_seg, self.t_seg, self.max_speed)):
+            raise ValueError(f"d_seg, t_seg and max_speed must be finite and above 0: "
+                             f"{self.d_seg}, {self.t_seg}, {self.max_speed}")
 
 
 def mbr_of(locations: Iterable[Location]) -> MBR:

@@ -49,8 +49,9 @@ class XzConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.resolution <= 31:
             raise ValueError(f"resolution must be in [1, 31]: {self.resolution}")
-        if self.period_len <= 0:
-            raise ValueError("period_len must be positive")
+        if not 0 < self.period_seconds < 2**63:
+            raise ValueError(f"period_len must be positive and its period fit a signed 64-bit int of seconds: "
+                             f"{self.period_len} {self.unit.name.lower()}")
         if not 1 <= self.num_shards <= 256:
             raise ValueError("num_shards must be in [1, 256]")
 

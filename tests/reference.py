@@ -313,11 +313,10 @@ def irq(
     return results
 
 
-def irjq(query_set, params, backend, cfg, seg_cfg=None, *, resolution=15, capacity=64,
-         lemmas=ALL_LEMMAS, counters=None):
+def irjq(query_set, params, backend, cfg, seg_cfg=None, *, capacity=64, lemmas=ALL_LEMMAS, counters=None):
     """The per-candidate join: same signature and outputs as ``crowdtrace.irjq``.
-    ``sft_build`` orders the queries by their first segment and cuts them
-    into chunks of ``capacity``. A chunk's windows find their candidates by
+    ``sft_build`` orders the queries by their first segment's cell code
+    under ``cfg`` and cuts them into chunks of ``capacity``. A chunk's windows find their candidates by
     one ``st_query`` each: a window touches the trajectories of the first
     copies of the sids it finds, and a sid keeps the copy of the last window
     to find it, as ``st_read`` documents. Each query of the chunk is then
@@ -328,7 +327,7 @@ def irjq(query_set, params, backend, cfg, seg_cfg=None, *, resolution=15, capaci
     seg_cfg = seg_cfg or SegmentationConfig()
     lemmas = frozenset(lemmas)
     cut = [segment(filter_noise(q, seg_cfg), seg_cfg) for q in query_set]
-    chunks = sft_build([q_segments[0] for q_segments in cut], resolution, capacity)
+    chunks = sft_build([q_segments[0] for q_segments in cut], cfg, capacity)
     tally = dict.fromkeys(JOIN_COUNTER_KEYS, 0)
     tally["scan_sets"] = len(chunks)
     results = []

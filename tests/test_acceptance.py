@@ -411,13 +411,15 @@ def test_a8_theta_monotonicity(workloads):
 
 
 def test_a9_resolution_invariance(workloads):
-    with criterion("A9", "irjq outputs are identical at resolutions 12, 15 and 18"):
+    with criterion("A9", "irjq outputs are identical on stores indexed at resolutions 12, 15 and 18"):
         for w in workloads[:5]:
             query_set = w.trajectories[:10]
-            outputs = [
-                irjq(query_set, TABLE_DEFAULTS, w.backend, w.xz_cfg, w.seg_cfg, resolution=r)
-                for r in (12, 15, 18)
-            ]
+            outputs = []
+            for r in (12, 15, 18):
+                cfg = XzConfig(resolution=r)
+                backend = MemoryBackend()
+                ingest(w.trajectories, cfg, w.seg_cfg, backend)
+                outputs.append(irjq(query_set, TABLE_DEFAULTS, backend, cfg, w.seg_cfg))
             assert outputs[0] == outputs[1] == outputs[2]
 
 

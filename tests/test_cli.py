@@ -298,19 +298,15 @@ def test_join_leaf_capacity_below_one_is_an_error(tmp_path, capsys, capacity):
     assert "capacity" in err
 
 
-@pytest.mark.parametrize("resolution", ["-1", "65"])
-def test_join_resolution_outside_its_range_is_an_error(tmp_path, capsys, resolution):
+def test_join_has_no_resolution_flag(tmp_path, capsys):
     points = tmp_path / "points.csv"
     write_twin_csv(points)
     store = tmp_path / "store"
     run(["ingest", "--input", str(points), "--store", str(store)], capsys)
-    code, out, err = run(
-        ["join", "--store", str(store), "--query-csv", str(points), "--resolution", resolution],
-        capsys,
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "resolution" in err
+    with pytest.raises(SystemExit) as exit_:
+        main(["join", "--store", str(store), "--query-csv", str(points), "--resolution", "12"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --resolution 12" in capsys.readouterr().err
 
 
 def test_reingest_of_the_same_csv_appends_no_frame(tmp_path, capsys):
@@ -359,6 +355,7 @@ _BAD_META = {
     "empty": "{}",
     "unknown unit": None,  # the meta ingest wrote, with its unit replaced
     "text resolution": None,  # the same, with its resolution as text
+    "NaN max_speed": None,  # the same, with a max_speed the noise gate cannot use
     "a list": "[1]",
     "not JSON": "{resolution",
 }
@@ -376,6 +373,8 @@ def test_a_malformed_meta_is_one_line_error(tmp_path, capsys, case, command):
         meta["unit"] = "fortnight"
     if case == "text resolution":
         meta["resolution"] = "15"
+    if case == "NaN max_speed":
+        meta["max_speed"] = float("nan")
     (store / "meta.json").write_text(_BAD_META[case] or json.dumps(meta))
     log = (store / "segments.log").read_bytes()
     argv = {"query": ["query", "--traj-id", "alpha"], "join": ["join", "--query-csv", str(points)],
@@ -385,3 +384,45 @@ def test_a_malformed_meta_is_one_line_error(tmp_path, capsys, case, command):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert repr(str(store)) in err and "meta.json" in err
     assert (store / "segments.log").read_bytes() == log
+
+
+_PARAM_FLAGS = ("--lambda", "--theta", "--theta-d", "--theta-t")
+_FLOAT_FLAGS = {
+    "gen": ("--contact-fraction", "--contact-dist", "--contact-dt", "--dwell-prob"),
+    "ingest": ("--d-seg", "--max-speed"),
+    "query-id": _PARAM_FLAGS,
+    "query-csv": _PARAM_FLAGS,
+    "join": _PARAM_FLAGS,
+}
+_NUMERIC_CASES = [
+    *((command, flag, value) for command, flags in _FLOAT_FLAGS.items() for flag in flags
+      for value in ("nan", "inf", "-inf")),
+    *(("ingest", flag, "99999999999999999999") for flag in ("--period-len", "--t-seg", "--resolution", "--shards")),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _NUMERIC_CASES)
+def test_numeric_flags_run_or_give_one_error_line(tmp_path, capsys, command, flag, value):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    patient = tmp_path / "alpha.csv"
+    patient.write_text(query_csv_of(points))
+    store = tmp_path / "store"
+    if command in ("query-id", "query-csv", "join"):
+        assert run(["ingest", "--input", str(points), "--store", str(store)], capsys)[0] == 0
+    argv = {
+        "gen": ["gen", "--n-traj", "3", "--out", str(tmp_path / "gen.csv")],
+        "ingest": ["ingest", "--input", str(points), "--store", str(store)],
+        "query-id": ["query", "--store", str(store), "--traj-id", "alpha"],
+        "query-csv": ["query", "--store", str(store), "--query-csv", str(patient)],
+        "join": ["join", "--store", str(store), "--query-csv", str(points)],
+    }[command]
+    code, out, err = run([*argv, f"{flag}={value}"], capsys)  # a raised exception is a traceback
+    assert code in (0, 2)
+    if value in ("nan", "inf", "-inf"):
+        assert code == 2
+    if code == 2:
+        assert out == "" and err.endswith("\n")
+        assert err.splitlines()[-1].startswith("error:") and err.count("error:") == 1
+        if command == "ingest":
+            assert not store.exists()

@@ -1,5 +1,8 @@
 import io
+import math
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,21 @@ from crowdtrace import (
     write_labels,
     write_points_csv,
 )
+
+
+@pytest.mark.parametrize("field", [dict(contact_dist=math.nan), dict(contact_dist=math.inf), dict(contact_dist=-1.0),
+                                   dict(contact_dt=math.inf), dict(contact_dt=math.nan), dict(contact_dt=-1.0),
+                                   dict(dwell_prob=5.0), dict(dwell_prob=math.nan), dict(dwell_prob=-1.0)])
+def test_gen_config_refuses_nonsense(field):
+    with pytest.raises(ValueError, match=next(iter(field))):
+        GenConfig(**field)
+
+
+def test_gen_config_takes_the_edges():
+    edges = GenConfig(n_traj=3, contact_fraction=0.5, contact_dist=0.0, contact_dt=0.0, dwell_prob=0.0)
+    for cfg in (edges, replace(edges, dwell_prob=1.0)):
+        trajectories, labels = generate(cfg)
+        assert len(trajectories) == 3 and len(labels) == 1
 
 
 def csv_bytes(trajectories) -> str:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crowdtrace.query as query_mod
+import reference
 from crowdtrace import (
+    MBR,
     GenConfig,
     Location,
     MemoryBackend,
@@ -16,13 +18,15 @@ from crowdtrace import (
     TimeRange,
     Trajectory,
     XzConfig,
+    encode_key,
     generate,
     ingest,
     irjq,
     irq,
+    sequence_code,
     sft_build,
 )
-from crowdtrace.join import _cell_key
+from crowdtrace.model import WORLD
 from crowdtrace.query import query_segments
 from crowdtrace.store import st_read
 from conftest import build_workload, loc
@@ -40,31 +44,30 @@ def _seg(sid, east, t0, t1):
 
 
 def test_single_segment_tree():
-    assert sft_build([_seg("a#0", 0, 0, 60)], resolution=10) == [[0]]
+    assert sft_build([_seg("a#0", 0, 0, 60)], CFG) == [[0]]
 
 
-@pytest.mark.parametrize("resolution", [-1, 65, 10**6])
-def test_resolution_outside_its_range_is_refused(resolution):
-    with pytest.raises(ValueError, match="resolution"):
-        sft_build([_seg("a#0", 0, 0, 60)], resolution)
-
-
-def test_chunks_visit_cells_north_east_first():
+def test_chunks_follow_known_cell_codes():
     corners = {"sw": (-10.0, -10.0), "ne": (10.0, 10.0), "nw": (-10.0, 10.0), "se": (10.0, -10.0)}
     segs = [Segment.build(f"{name}#0", name, [Location(lon, lat, 10)]) for name, (lon, lat) in corners.items()]
     # later start times come after earlier ones within a cell
     segs.append(Segment.build("ne2#0", "ne2", [Location(10.0, 10.0, 5)]))
-    chunks = sft_build(segs, resolution=1, capacity=2)
-    assert [[segs[k].sid for k in chunk] for chunk in chunks] == [["ne2#0", "ne#0"], ["se#0", "sw#0"], ["nw#0"]]
+    cfg = XzConfig(resolution=1)
+    # at resolution 1 the store keys a point under its quadrant's cell: sw 1, se 2, nw 3, ne 4
+    assert [encode_key(s, cfg).xz2 for s in segs] == [1, 4, 3, 2, 4]
+    chunks = sft_build(segs, cfg, capacity=2)
+    assert [[segs[k].sid for k in chunk] for chunk in chunks] == [["sw#0", "se#0"], ["nw#0", "ne2#0"], ["ne#0"]]
 
 
-# corners on the quadrant midlines of the first levels, signed zeros included
+# worlds whose quadrant midlines hold signed zeros, and one that most boxes fall outside of
+WORLDS = [WORLD, MBR(-1.0, -1.0, 1.0, 1.0), MBR(116.0, 39.0, 117.0, 40.0)]
+# corners on the midlines of the first levels of each world, signed zeros included, and anywhere
 LONS = st.one_of(
-    st.sampled_from([-180.0, -90.0, -45.0, -0.0, 0.0, 45.0, 90.0, 180.0]),
+    st.sampled_from([-180.0, -90.0, -45.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 45.0, 90.0, 116.0, 116.5, 117.0, 180.0]),
     st.floats(-180.0, 180.0),
 )
 LATS = st.one_of(
-    st.sampled_from([-90.0, -45.0, -22.5, -0.0, 0.0, 22.5, 45.0, 90.0]),
+    st.sampled_from([-90.0, -45.0, -22.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 22.5, 39.0, 39.5, 40.0, 45.0, 90.0]),
     st.floats(-90.0, 90.0),
 )
 
@@ -74,9 +77,9 @@ def segment_sets(draw):
     segs = []
     for i in range(draw(st.integers(1, 40))):
         lon, lat = draw(LONS), draw(LATS)
-        far_lon = min(180.0, lon + draw(st.floats(0.0, 0.01)))
-        far_lat = min(90.0, lat + draw(st.floats(0.0, 0.01)))
-        t0 = draw(st.integers(0, 20_000))
+        far_lon = min(180.0, lon + draw(st.sampled_from([0.0, 0.01, 2.0]) | st.floats(0.0, 2.0)))
+        far_lat = min(90.0, lat + draw(st.sampled_from([0.0, 0.01, 2.0]) | st.floats(0.0, 2.0)))
+        t0 = draw(st.integers(0, 3) | st.integers(0, 20_000))
         t1 = t0 + draw(st.integers(0, 86_400))
         traj_id = f"t{draw(st.integers(0, 5))}"
         locs = [Location(lon, lat, t0), Location(far_lon, far_lat, t1)]
@@ -84,17 +87,25 @@ def segment_sets(draw):
     return segs
 
 
-@given(segment_sets(), st.one_of(st.sampled_from([0, 1, 15, 40]), st.integers(0, 24)), st.integers(1, 64))
+def _clamped(box, world):
+    lon = [min(max(v, world.min_lon), world.max_lon) for v in (box.min_lon, box.max_lon)]
+    lat = [min(max(v, world.min_lat), world.max_lat) for v in (box.min_lat, box.max_lat)]
+    return MBR(lon[0], lat[0], lon[1], lat[1])
+
+
+@given(segment_sets(), st.integers(1, 31), st.sampled_from(WORLDS), st.integers(1, 64))
 @settings(max_examples=300, deadline=None)
-def test_every_segment_reachable_exactly_once(segs, resolution, capacity):
-    chunks = sft_build(segs, resolution, capacity)
+def test_every_segment_reachable_exactly_once(segs, resolution, world, capacity):
+    cfg = XzConfig(resolution=resolution, world=world)
+    chunks = sft_build(segs, cfg, capacity)
     order = [k for chunk in chunks for k in chunk]
     assert sorted(order) == list(range(len(segs)))
     # full chunks of capacity, but for the last
     assert [len(chunk) for chunk in chunks[:-1]] == [capacity] * (len(chunks) - 1)
     assert 1 <= len(chunks[-1]) <= capacity
-    # by cell in visit order, then start time, then input order
-    keys = [(_cell_key(segs[k].mbr, resolution), segs[k].st, k) for k in order]
+    # by the cell code of the box clamped to the world, then start time, then input order
+    keys = [(sequence_code(reference.xz2_element(_clamped(segs[k].mbr, world), cfg), cfg), segs[k].st, k)
+            for k in order]
     assert keys == sorted(keys)
 
 
@@ -240,10 +251,20 @@ def test_join_counters_equal_summed_irq_counters(store):
 
 
 def test_resolution_invariance():
-    w = build_workload(seed=113, n_traj=200, contact_fraction=0.1)
-    query_set = w.trajectories[:6]
-    outputs = [
-        irjq(query_set, P, w.backend, w.xz_cfg, w.seg_cfg, resolution=r)
-        for r in (12, 15, 18)
-    ]
+    # the same trajectories ingested at three index resolutions: keys, so the join's order, differ
+    outputs = []
+    for r in (12, 15, 18):
+        w = build_workload(seed=113, n_traj=200, contact_fraction=0.1, xz_cfg=XzConfig(resolution=r))
+        outputs.append(irjq(w.trajectories[:6], P, w.backend, w.xz_cfg, w.seg_cfg))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_queries_outside_the_world_join_and_find_nothing():
+    cfg = XzConfig(resolution=12, world=MBR(116.0, 39.0, 117.0, 40.0))
+    backend = MemoryBackend()
+    ingest([Trajectory("stored", [loc(0, 0, 0), loc(10, 0, 60)])], cfg, SEG, backend)
+    inside = Trajectory("inside", [loc(0, 0, 0), loc(10, 0, 60)])
+    outside = Trajectory("outside", [loc(0, 0, 0, lon0=10.0, lat0=10.0), loc(10, 0, 60, lon0=10.0, lat0=10.0)])
+    assert irq(outside, P, backend, cfg, SEG) == []
+    joined = irjq([outside, inside], P, backend, cfg, SEG, capacity=1)
+    assert [(q, tid) for q, tid, _ in joined] == [("inside", "stored")]

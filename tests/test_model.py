@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -46,6 +47,14 @@ def test_mbr_and_time_range_validate():
         MBR(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         TimeRange(5, 4)
+
+
+@pytest.mark.parametrize("threshold", [dict(d_seg=math.nan), dict(d_seg=math.inf), dict(t_seg=math.inf),
+                                       dict(max_speed=math.nan), dict(max_speed=math.inf), dict(max_speed=-math.inf),
+                                       dict(d_seg=0.0), dict(t_seg=0), dict(max_speed=-1.0)])
+def test_segmentation_config_refuses_a_threshold_that_is_not_finite_and_above_zero(threshold):
+    with pytest.raises(ValueError, match="d_seg, t_seg and max_speed must be finite and above 0"):
+        SegmentationConfig(**threshold)
 
 
 def test_haversine_known_distance():

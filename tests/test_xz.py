@@ -24,7 +24,7 @@ from crowdtrace import (
     xz2_element,
 )
 from crowdtrace.model import WORLD, TimeRange
-from crowdtrace.xz import xz2_codes
+from crowdtrace.xz import bins_of, xz2_codes
 from conftest import loc
 
 
@@ -288,6 +288,19 @@ def test_bin_of_day_unit_weekly_period():
 def test_bin_of_before_epoch_rejected():
     with pytest.raises(ValueError):
         bin_of(10, XzConfig(epoch=100))
+
+
+@pytest.mark.parametrize("period_len, unit", [(2**63, TimeUnit.SECOND), (99999999999999999999, TimeUnit.SECOND),
+                                              (2**63 // 86_400 + 1, TimeUnit.DAY), (0, TimeUnit.SECOND)])
+def test_a_period_that_does_not_fit_an_int64_is_refused(period_len, unit):
+    with pytest.raises(ValueError, match="period"):
+        XzConfig(period_len=period_len, unit=unit)
+
+
+def test_the_longest_period_bins_timestamps():
+    cfg = XzConfig(period_len=2**63 - 1)
+    assert bin_of(2**63 - 2, cfg) == 0
+    assert bins_of(np.array([0, 2**63 - 1]), cfg).tolist() == [0, 1]
 
 
 # --- row keys ---------------------------------------------------------------------
