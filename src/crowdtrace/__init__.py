@@ -51,7 +51,6 @@ from .store import (
 from .xz import (
     STKey,
     ScanRange,
-    TimeUnit,
     XzConfig,
     XzElement,
     bin_of,
@@ -77,7 +76,6 @@ __all__ = [
     "Segment",
     "SegmentationConfig",
     "TimeRange",
-    "TimeUnit",
     "Tracks",
     "Trajectory",
     "WORLD",

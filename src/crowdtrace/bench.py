@@ -122,6 +122,8 @@ def run_suite(
     """Rows of sweep_param,value,algo,median_ms,result_count for one suite."""
     if suite not in SUITES:
         raise ValueError(f"unknown bench suite {suite!r}; choose from {', '.join(SUITES)}")
+    if query_size < 1 or repeats < 1:
+        raise ValueError(f"query_size and repeats must be at least 1: {query_size}, {repeats}")
 
     base = workload
     rows = []

@@ -25,7 +25,7 @@ from .metric import QueryParams
 from .model import SegmentationConfig, Tracks, Trajectory, load_trajectories_csv, read_points_csv, write_points_csv
 from .query import COUNTER_KEYS, irq
 from .store import FileBackend, ingest, load_trajectory
-from .xz import TimeUnit, XzConfig
+from .xz import XzConfig
 
 META_NAME = "meta.json"
 LOG_NAME = "segments.log"
@@ -46,9 +46,9 @@ def _default_store() -> str:
 def _meta(xz_cfg: XzConfig, seg_cfg: SegmentationConfig) -> dict:
     return {
         "resolution": xz_cfg.resolution,
-        "epoch": xz_cfg.epoch,
+        "epoch": 0,  # the one time layout, periods of period_len seconds from t = 0; _read_meta refuses another
         "period_len": xz_cfg.period_len,
-        "unit": xz_cfg.unit.name.lower(),
+        "unit": "second",
         "num_shards": xz_cfg.num_shards,
         "d_seg": seg_cfg.d_seg,
         "t_seg": seg_cfg.t_seg,
@@ -83,10 +83,10 @@ def _read_meta(store_dir: str) -> tuple[dict, XzConfig, SegmentationConfig]:
             kind = (int, float) if isinstance(value, float) else type(value)
             if not isinstance(meta[key], kind) or isinstance(meta[key], bool):
                 raise ValueError(f"{key} must be of type {type(value).__name__}: {meta[key]!r}")
-        if meta["unit"].upper() not in TimeUnit.__members__:
-            raise ValueError(f"unit {meta['unit']!r} is not one of {', '.join(TimeUnit.__members__).lower()}")
-        xz_cfg = XzConfig(resolution=meta["resolution"], epoch=meta["epoch"], period_len=meta["period_len"],
-                          unit=TimeUnit[meta["unit"].upper()], num_shards=meta["num_shards"])
+        for key in ("epoch", "unit"):
+            if meta[key] != like[key]:
+                raise ValueError(f"{key} must be {like[key]!r}, as periods are seconds from t = 0: {meta[key]!r}")
+        xz_cfg = XzConfig(resolution=meta["resolution"], period_len=meta["period_len"], num_shards=meta["num_shards"])
         seg_cfg = SegmentationConfig(d_seg=meta["d_seg"], t_seg=meta["t_seg"], max_speed=meta["max_speed"])
     except ValueError as exc:  # a JSONDecodeError too
         raise CliError(f"store {store_dir!r} has a malformed {META_NAME}: {exc}") from exc
@@ -149,10 +149,11 @@ def _load_query_csv(path: str, columns: bool = False) -> list[Trajectory] | Trac
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--lambda", dest="lam", type=float, default=0.5, help="spatial weight in [0,1]")
-    sub.add_argument("--theta", type=float, default=0.5, help="score threshold in [0,1]")
-    sub.add_argument("--theta-d", type=float, default=50.0, help="spatial reach in meters")
-    sub.add_argument("--theta-t", type=float, default=120.0, help="temporal reach in seconds")
+    default = QueryParams()
+    sub.add_argument("--lambda", dest="lam", type=float, default=default.lam, help="spatial weight in [0,1]")
+    sub.add_argument("--theta", type=float, default=default.theta, help="score threshold in [0,1]")
+    sub.add_argument("--theta-d", type=float, default=default.theta_d, help="spatial reach in meters")
+    sub.add_argument("--theta-t", type=float, default=default.theta_t, help="temporal reach in seconds")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -174,12 +175,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _configs(args: argparse.Namespace) -> tuple[XzConfig, SegmentationConfig]:
+    """The index and segmentation configuration an ``ingest`` asks for."""
+    return (XzConfig(resolution=args.resolution, period_len=args.period_len, num_shards=args.shards),
+            SegmentationConfig(d_seg=args.d_seg, t_seg=args.t_seg, max_speed=args.max_speed))
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     tracks = _load_query_csv(args.input, columns=True)
-    xz_cfg = XzConfig(
-        resolution=args.resolution, period_len=args.period_len, num_shards=args.shards
-    )
-    seg_cfg = SegmentationConfig(d_seg=args.d_seg, t_seg=args.t_seg, max_speed=args.max_speed)
+    xz_cfg, seg_cfg = _configs(args)
     meta = _meta(xz_cfg, seg_cfg)
     meta_path = os.path.join(args.store, META_NAME)
     if os.path.isfile(meta_path):
@@ -286,12 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="segment, encode and store a points CSV")
     p_ingest.add_argument("--input", required=True, help="points CSV")
     p_ingest.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")
-    p_ingest.add_argument("--resolution", type=int, default=15, help="index quadtree depth")
-    p_ingest.add_argument("--period-len", type=int, default=86_400, help="time period seconds")
-    p_ingest.add_argument("--shards", type=int, default=1)
-    p_ingest.add_argument("--d-seg", type=float, default=200.0, help="segment spatial bound (m)")
-    p_ingest.add_argument("--t-seg", type=int, default=1800, help="segment temporal bound (s)")
-    p_ingest.add_argument("--max-speed", type=float, default=50.0, help="noise gate (m/s)")
+    xz_cfg, seg_cfg = XzConfig(), SegmentationConfig()
+    p_ingest.add_argument("--resolution", type=int, default=xz_cfg.resolution, help="index quadtree depth")
+    p_ingest.add_argument("--period-len", type=int, default=xz_cfg.period_len, help="time period seconds")
+    p_ingest.add_argument("--shards", type=int, default=xz_cfg.num_shards)
+    p_ingest.add_argument("--d-seg", type=float, default=seg_cfg.d_seg, help="segment spatial bound (m)")
+    p_ingest.add_argument("--t-seg", type=int, default=seg_cfg.t_seg, help="segment temporal bound (s)")
+    p_ingest.add_argument("--max-speed", type=float, default=seg_cfg.max_speed, help="noise gate (m/s)")
 
     p_query = sub.add_parser("query", help="contacts of one trajectory")
     p_query.add_argument("--store", help="store directory (default: $CONTACT_STORE_DIR or ./store)")

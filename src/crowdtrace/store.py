@@ -26,7 +26,9 @@ kernel pass gates noise, cuts stay-point segments, splits them at period
 boundaries and takes their boxes. Each segment's key and record are written
 from those columns, with every cell code of a batch computed at once, and
 a batch's segments go to one ``put_batch`` in input order. No ``Location``
-or ``Segment`` is built.
+or ``Segment`` is built. One check of the time column comes first: a
+negative time, a time of ``TIME_LIMIT`` (2**53 s) or more, or one in a period
+past the last a key holds refuses the whole input before anything is written.
 
 ``st_query`` expands a window by the spatial/temporal reach. A key starts
 with its shard and period, so the records of the window's periods are one
@@ -71,8 +73,10 @@ from .model import (
 )
 from .xz import (
     KEY_HEAD,
+    LAST_PERIOD,
     ScanRange,
     XzConfig,
+    bin_of,
     bins_of,
     encode_key,
     period_spans,
@@ -84,6 +88,7 @@ from .xz import (
 log = logging.getLogger(__name__)
 
 MAX_SUPPORTED_LAT = 85.0  # window padding is only exact below this latitude
+TIME_LIMIT = 2**53  # ingest refuses times from here on: windows and scoring hold times as float64, exact below it
 
 
 # the fixed header an encoded segment starts with: box corners, st, et
@@ -519,7 +524,7 @@ def storage_segments(traj: Trajectory, xz_cfg: XzConfig, seg_cfg: SegmentationCo
 
 def _storage_cuts(xz_cfg: XzConfig) -> dict:
     """The kernel options that cut storage segments."""
-    return dict(max_span=xz_cfg.period_seconds, noise_gate=True, bins=lambda t: bins_of(t, xz_cfg))
+    return dict(max_span=xz_cfg.period_len, noise_gate=True, bins=lambda t: bins_of(t, xz_cfg))
 
 
 def storage_batch(
@@ -543,19 +548,19 @@ def ingest(
     one ``put_batch``, in input order, each as ``encode_key`` and
     ``encode_segment`` would write it. Re-ingesting
     identical data leaves the log unchanged; a changed segment overwrites its
-    key. Trajectories with timestamps before the index epoch are rejected and
-    logged. A timestamp whose period number does not fit a key's 32 bits is a
+    key. A negative timestamp, one of ``TIME_LIMIT`` or more, or one whose
+    period number is past ``LAST_PERIOD`` refuses the whole input with a
     ``ValueError`` raised before anything is written.
     """
     tracks = trajectories if isinstance(trajectories, Tracks) else Tracks.of(list(trajectories))
-    last = int(tracks.t.max()) if len(tracks.t) else xz_cfg.epoch
-    if (last - xz_cfg.epoch) // xz_cfg.period_seconds >= 1 << 32:
-        raise ValueError(f"timestamp {last} falls in a period past the last one a key holds")
-    early = tracks.t[tracks.offsets[:-1]] < xz_cfg.epoch
-    if early.any():
-        for k in np.flatnonzero(early).tolist():
-            log.warning("rejecting trajectory %r: timestamps precede the epoch", tracks.ids[k])
-        tracks = tracks.compress(np.repeat(~early, np.diff(tracks.offsets)))
+    if len(tracks.t):
+        first, last = int(tracks.t.min()), int(tracks.t.max())
+        if first < 0:
+            raise ValueError(f"timestamp {first} is negative")
+        if last >= TIME_LIMIT:
+            raise ValueError(f"timestamp {last} is not below 2**53 s, the limit of exact float64 times")
+        if bin_of(last, xz_cfg) > LAST_PERIOD:
+            raise ValueError(f"timestamp {last} falls in a period past the last one a key holds")
     written = 0
     for batch in _batches(tracks):
         frames = list(_frames(cut(batch, seg_cfg, **_storage_cuts(xz_cfg)), xz_cfg))

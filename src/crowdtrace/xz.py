@@ -7,12 +7,13 @@ box, range planning over doubled cells never misses a stored segment.
 
 Cells are numbered by depth-first pre-order, so every subtree is one
 contiguous code interval. Row keys prepend a time-period number and a shard
-byte; all fields are big-endian so byte order equals logical order.
+byte; all fields are big-endian so byte order equals logical order. A
+timestamp's period is ``t // period_len``: whole periods of ``period_len``
+seconds from t = 0.
 """
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass, field
 
@@ -21,44 +22,23 @@ import numpy as np
 from .model import MBR, WORLD, Segment, TimeRange
 
 
-class TimeUnit(enum.Enum):
-    """Calendar-free time units used for period numbering."""
-
-    SECOND = 1
-    DAY = 86_400
-    WEEK = 604_800
-    MONTH = 2_592_000  # 30 days
-    YEAR = 31_536_000  # 365 days
-
-    @property
-    def seconds(self) -> int:
-        return self.value
-
-
 @dataclass(frozen=True, slots=True)
 class XzConfig:
-    """Index geometry: quadtree depth, world extent and time binning."""
+    """Index geometry: quadtree depth, world extent and time binning, in
+    periods of ``period_len`` seconds from t = 0."""
 
     resolution: int = 15
     world: MBR = field(default_factory=lambda: WORLD)
-    epoch: int = 0
     period_len: int = 86_400
-    unit: TimeUnit = TimeUnit.SECOND
     num_shards: int = 1
 
     def __post_init__(self) -> None:
         if not 1 <= self.resolution <= 31:
             raise ValueError(f"resolution must be in [1, 31]: {self.resolution}")
-        if not 0 < self.period_seconds < 2**63:
-            raise ValueError(f"period_len must be positive and its period fit a signed 64-bit int of seconds: "
-                             f"{self.period_len} {self.unit.name.lower()}")
+        if not 0 < self.period_len < 2**63:
+            raise ValueError(f"period_len must be positive and fit a signed 64-bit int of seconds: {self.period_len}")
         if not 1 <= self.num_shards <= 256:
             raise ValueError("num_shards must be in [1, 256]")
-
-    @property
-    def period_seconds(self) -> int:
-        """Length of one time period in seconds."""
-        return self.period_len * self.unit.seconds
 
     def total_elements(self) -> int:
         """Number of quadtree cells at all depths up to the resolution."""
@@ -211,18 +191,17 @@ def sequence_code(element: XzElement, cfg: XzConfig) -> int:
 
 
 def bin_of(t: int, cfg: XzConfig) -> int:
-    """Time-period number of a timestamp: whole units since epoch / period."""
-    if t < cfg.epoch:
-        raise ValueError(f"timestamp {t} precedes the index epoch {cfg.epoch}")
-    units = (t - cfg.epoch) // cfg.unit.seconds
-    return units // cfg.period_len
+    """Time-period number of a timestamp: whole periods since t = 0."""
+    if t < 0:
+        raise ValueError(f"timestamp {t} is negative: it has no period")
+    return t // cfg.period_len
 
 
 def bins_of(t: np.ndarray, cfg: XzConfig) -> np.ndarray:
     """``bin_of`` over a column of timestamps."""
-    if t.size and t.min() < cfg.epoch:
-        raise ValueError(f"timestamp {t.min()} precedes the index epoch {cfg.epoch}")
-    return (t - cfg.epoch) // cfg.unit.seconds // cfg.period_len
+    if t.size and t.min() < 0:
+        raise ValueError(f"timestamp {t.min()} is negative: it has no period")
+    return t // cfg.period_len
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -304,11 +283,11 @@ def _periods(tr: TimeRange, cfg: XzConfig) -> range:
     """The periods whose keys may hold a segment meeting ``tr``: one before
     the range's start, as segments are keyed by the period of their start
     time and a span may reach into the next period, through the period of
-    its end, clamped to those a key holds; none when ``tr`` ends before the
-    epoch."""
-    if tr.end < cfg.epoch:
+    its end, clamped to those a key holds; none when ``tr`` ends before
+    t = 0."""
+    if tr.end < 0:
         return range(0)
-    first = max(0, bin_of(max(tr.start, cfg.epoch), cfg) - 1)
+    first = max(0, bin_of(max(tr.start, 0), cfg) - 1)
     return range(first, min(bin_of(tr.end, cfg), LAST_PERIOD) + 1)
 
 

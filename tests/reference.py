@@ -171,7 +171,7 @@ def storage_segments(traj: Trajectory, xz_cfg: XzConfig, seg_cfg: SegmentationCo
     """Filter, segment at most one period long, then split at period boundaries."""
     filtered = filter_noise(traj, seg_cfg)
     runs: list[list[Location]] = []
-    for seg in segment(filtered, seg_cfg, max_span=xz_cfg.period_seconds):
+    for seg in segment(filtered, seg_cfg, max_span=xz_cfg.period_len):
         current: list[Location] = []
         current_bin = None
         for loc in seg.locations:
@@ -192,7 +192,6 @@ def frames(trajectories, xz_cfg: XzConfig, seg_cfg: SegmentationConfig) -> list[
         (replace(encode_key(seg, xz_cfg), xz2=sequence_code(xz2_element(seg.mbr, xz_cfg), xz_cfg)).packed(),
          encode_segment(seg))
         for traj in trajectories
-        if traj.locations[0].t >= xz_cfg.epoch
         for seg in storage_segments(traj, xz_cfg, seg_cfg)
     ]
 

@@ -11,6 +11,9 @@ import pytest
 import crowdtrace
 import crowdtrace.cli as cli
 from crowdtrace.cli import main
+from crowdtrace.metric import QueryParams
+from crowdtrace.model import SegmentationConfig
+from crowdtrace.xz import XzConfig
 from conftest import log_frames
 
 
@@ -160,6 +163,21 @@ def test_bench_theta_schema(tmp_path, capsys):
     assert {r["algo"] for r in rows} == {"irq", "irq_up", "irjq", "irjq_up"}
     assert {r["value"] for r in rows} == {"0.3", "0.4", "0.5", "0.6", "0.7"}
     assert len(rows) == 20
+
+
+@pytest.mark.parametrize("flag, value", [("--query-size", "-3"), ("--query-size", "0"), ("--repeats", "0")])
+def test_bench_refuses_a_size_below_one(capsys, flag, value):
+    code, out, err = run(["bench", "theta", "--n-traj", "60", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "query_size and repeats must be at least 1" in err
+
+
+def test_flags_default_to_the_configurations_defaults():
+    parse = cli.build_parser().parse_args
+    assert cli._configs(parse(["ingest", "--input", "points.csv"])) == (XzConfig(), SegmentationConfig())
+    for argv in (["query", "--traj-id", "a"], ["join", "--query-csv", "points.csv"]):
+        assert cli._params(parse(argv)) == QueryParams()
 
 
 def test_missing_store_is_one_line_error(tmp_path, capsys):
@@ -336,6 +354,22 @@ def test_ingest_of_a_timestamp_past_the_key_is_one_line_error(tmp_path, capsys, 
         assert len(log_frames(store / "segments.log")) == 1
 
 
+@pytest.mark.parametrize("t, code", [(2**60 + 220, 2), (2**53, 2), (2**53 - 1, 0)])
+def test_ingest_of_a_time_float64_does_not_hold_exactly_is_one_line_error(tmp_path, capsys, t, code):
+    # windows and scores hold times as float64: at 2**60 a window's end rounds down past a stored point
+    points = tmp_path / "points.csv"
+    points.write_text(f"s,116.39,39.9,{t}\n")
+    store = tmp_path / "store"
+    got, out, err = run(["ingest", "--input", str(points), "--store", str(store), "--period-len", str(2**62)], capsys)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+        assert "2**53" in err
+        assert log_frames(store / "segments.log") == []
+    else:
+        assert len(log_frames(store / "segments.log")) == 1
+
+
 @pytest.mark.parametrize("command", ["query", "join"])
 @pytest.mark.parametrize("flag, value", [("--theta-t", "inf"), ("--theta-t", "nan"), ("--theta-d", "inf"),
                                          ("--theta-d", "nan"), ("--theta-d", "-inf")])
@@ -354,6 +388,8 @@ def test_a_reach_that_is_not_finite_is_one_line_error(tmp_path, capsys, command,
 _BAD_META = {
     "empty": "{}",
     "unknown unit": None,  # the meta ingest wrote, with its unit replaced
+    "unit day": None,  # the same, with a unit other than the seconds periods count in
+    "epoch 5": None,  # the same, with periods counted from a time other than 0
     "text resolution": None,  # the same, with its resolution as text
     "NaN max_speed": None,  # the same, with a max_speed the noise gate cannot use
     "a list": "[1]",
@@ -371,6 +407,10 @@ def test_a_malformed_meta_is_one_line_error(tmp_path, capsys, case, command):
     meta = json.loads((store / "meta.json").read_text())
     if case == "unknown unit":
         meta["unit"] = "fortnight"
+    if case == "unit day":
+        meta["unit"] = "day"
+    if case == "epoch 5":
+        meta["epoch"] = 5
     if case == "text resolution":
         meta["resolution"] = "15"
     if case == "NaN max_speed":
@@ -383,6 +423,8 @@ def test_a_malformed_meta_is_one_line_error(tmp_path, capsys, case, command):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert repr(str(store)) in err and "meta.json" in err
+    if case in ("unit day", "epoch 5"):
+        assert f"{case.split()[0]} must be" in err
     assert (store / "segments.log").read_bytes() == log
 
 

@@ -18,6 +18,7 @@ from crowdtrace import (
     Segment,
     SegmentationConfig,
     TimeRange,
+    Tracks,
     Trajectory,
     XzConfig,
     decode_segment,
@@ -501,7 +502,6 @@ def test_window_past_the_last_period_a_key_holds():
     assert st_query(seg.mbr, near, 0.0, 0.0, backend, cfg) == [last]
 
 
-_EPOCH = 1_000
 _LONS = st.sampled_from([-180.0, -179.9999, -179.99, -0.001, 0.0, 0.002, 179.99, 179.9999, 180.0])
 _LATS = st.sampled_from([-90.0, -85.0, -84.9999, -0.001, 0.0, 0.002, 84.9999, 85.0, 89.99])
 
@@ -509,12 +509,12 @@ _LATS = st.sampled_from([-90.0, -85.0, -84.9999, -0.001, 0.0, 0.002, 84.9999, 85
 @st.composite
 def _spread_segments(draw):
     """Segments over several periods, near the antimeridian, the poles and
-    the origin, each within one period of an epoch-shifted config."""
+    the origin, each within one period."""
     segs = []
     for i in range(draw(st.integers(0, 14))):
         period = draw(st.integers(0, 3))
         times = sorted(draw(st.lists(st.integers(0, 3599), min_size=1, max_size=3)))
-        locs = [Location(draw(_LONS), draw(_LATS), _EPOCH + 3600 * period + t) for t in times]
+        locs = [Location(draw(_LONS), draw(_LATS), 3600 * period + t) for t in times]
         sid = f"{draw(st.sampled_from('abc'))}#{i % 3}"  # a sid may recur: stale copies
         segs.append(Segment.build(sid, sid[0], locs))
     return segs
@@ -523,7 +523,7 @@ def _spread_segments(draw):
 @st.composite
 def _spread_windows(draw):
     lons, lats = sorted([draw(_LONS), draw(_LONS)]), sorted([draw(_LATS), draw(_LATS)])
-    start = draw(st.integers(_EPOCH - 9_000, _EPOCH + 4 * 3600))
+    start = draw(st.integers(-9_000, 4 * 3600))  # from before t = 0, where period planning clamps
     tr = TimeRange(start, start + draw(st.sampled_from([0, 1, 600, 3599, 8000])))
     return MBR(lons[0], lats[0], lons[1], lats[1]), tr, draw(st.sampled_from([0.0, 50.0, 3_000.0, 500_000.0]))
 
@@ -532,7 +532,7 @@ def _spread_windows(draw):
        st.lists(_spread_windows(), min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_both_access_paths_equal_a_header_scan(segs, num_shards, short_periods, windows):
-    cfg = XzConfig(resolution=6, epoch=_EPOCH, period_len=3600, num_shards=num_shards)
+    cfg = XzConfig(resolution=6, period_len=3600, num_shards=num_shards)
     backend = MemoryBackend()
     for seg in segs:
         backend.put(encode_key(seg, cfg).packed(), encode_segment(seg))
@@ -578,14 +578,16 @@ def test_ingest_is_idempotent():
     assert len(backend) == 1
 
 
-def test_ingest_rejects_pre_epoch_trajectory():
-    cfg = XzConfig(resolution=10, epoch=1000)
+def test_ingest_refuses_a_negative_time_before_any_put():
+    # only hand-built columns can hold one: Location and the CSV readers refuse it
+    tracks = Tracks(["ok", "neg"], np.full(3, 116.39), np.full(3, 39.9), np.array([100, 160, -5]), np.array([0, 2, 3]))
     backend = MemoryBackend()
-    n = ingest([Trajectory("old", [loc(0, 0, 10)])], cfg, SEG, backend)
-    assert n == 0 and len(backend) == 0
+    with pytest.raises(ValueError, match="negative"):
+        ingest(tracks, CFG, SEG, backend)
+    assert len(backend) == 0
 
 
-# the last timestamp whose period number (epoch 0, one-day periods) fits a key's 32 bits
+# the last timestamp whose period number (one-day periods) fits a key's 32 bits
 LAST_KEYED_T = 2**32 * 86_400 - 1
 
 
@@ -621,7 +623,7 @@ def test_storage_segments_force_close_at_period_length():
     seg_cfg = SegmentationConfig(d_seg=200.0, t_seg=100_000, max_speed=50.0)
     points = [loc(0, 0, 200 * k) for k in range(20)]
     segs = storage_segments(Trajectory("long", points), cfg, seg_cfg)
-    assert all(s.et - s.st <= cfg.period_seconds for s in segs)
+    assert all(s.et - s.st <= cfg.period_len for s in segs)
     assert all(bin_of(s.st, cfg) == bin_of(s.et, cfg) for s in segs)
 
 
