@@ -46,7 +46,7 @@ for name, box in boxes.items():
     code = sequence_code(element, cfg)
     print(f"  {name:12s} depth {len(element.digits):2d}  code {code}")
 
-# A stored segment gets shard byte | period | code | segment id, big-endian,
+# A stored segment gets zero byte | period | code | segment id, big-endian,
 # so plain byte order walks the curve.
 seg = Segment.build(
     "walker#0",
@@ -54,7 +54,7 @@ seg = Segment.build(
     [Location(116.391, 39.901, 1_600_000_000), Location(116.392, 39.902, 1_600_000_060)],
 )
 key = encode_key(seg, cfg)
-print(f"\nrow key of {seg.sid}: shard={key.shard} period={key.bin} code={key.xz2}")
+print(f"\nrow key of {seg.sid}: period={key.bin} code={key.xz2}")
 print(f"  bytes: {key.packed().hex()}")
 
 # Planning a window query: a few code intervals instead of one huge scan.
@@ -69,9 +69,9 @@ ranges = st_scan_ranges(window, TimeRange(1_600_000_000, 1_600_040_000), cfg)
 print(f"  with one day-length period plus its predecessor: {len(ranges)} key ranges")
 print(f"  first: [{ranges[0].low.hex()}, {ranges[0].high.hex()})")
 
-# The access path the store takes. A key starts with its shard and period,
-# so the records of a window's periods are one contiguous key span a shard,
-# and testing every header in them needs no plan at all. On the pinned shape
+# The access path the store takes. A key starts with a zero byte and its
+# period, so the records of a window's periods are one contiguous key span,
+# and testing every header in it needs no plan at all. On the pinned shape
 # (gen --seed 42 --n-traj 5000: 2 km of city over 6 hours, one day-length
 # period) every record shares a period and a few cells, so planning would
 # walk the curve only to keep half the store's records for the same tests.
@@ -92,7 +92,7 @@ spans = period_spans(tr, cfg)
 ranges = st_scan_ranges(box, tr, cfg)
 found = backend.refine(spans, box, tr)  # what st_query tests for this window
 print(f"\nwindow of {first.sid}'s first segment, on the pinned shape ({stored} segments):")
-print(f"  its periods are {len(spans)} key span(s) holding {records_in(spans)} records: all of them are tested")
+print(f"  its periods are one key span holding {records_in(spans)} records: all of them are tested")
 print(f"  planning would make {len(ranges)} key ranges holding {records_in(ranges)} records first")
 print(f"  both keep the same {len(found)} records")
 assert records_in(spans) == stored  # one period: the span is the whole store

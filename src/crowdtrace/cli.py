@@ -24,7 +24,7 @@ from .join import DEFAULT_LEAF_CAPACITY, JOIN_COUNTER_KEYS, irjq
 from .metric import QueryParams
 from .model import SegmentationConfig, Tracks, Trajectory, load_trajectories_csv, read_points_csv, write_points_csv
 from .query import COUNTER_KEYS, irq
-from .store import FileBackend, ingest, load_trajectory
+from .store import FileBackend, check_tracks, ingest, load_trajectory
 from .xz import XzConfig
 
 META_NAME = "meta.json"
@@ -49,7 +49,7 @@ def _meta(xz_cfg: XzConfig, seg_cfg: SegmentationConfig) -> dict:
         "epoch": 0,  # the one time layout, periods of period_len seconds from t = 0; _read_meta refuses another
         "period_len": xz_cfg.period_len,
         "unit": "second",
-        "num_shards": xz_cfg.num_shards,
+        "num_shards": 1,  # one key space, every key's first byte 0; _read_meta refuses another
         "d_seg": seg_cfg.d_seg,
         "t_seg": seg_cfg.t_seg,
         "max_speed": seg_cfg.max_speed,
@@ -83,10 +83,10 @@ def _read_meta(store_dir: str) -> tuple[dict, XzConfig, SegmentationConfig]:
             kind = (int, float) if isinstance(value, float) else type(value)
             if not isinstance(meta[key], kind) or isinstance(meta[key], bool):
                 raise ValueError(f"{key} must be of type {type(value).__name__}: {meta[key]!r}")
-        for key in ("epoch", "unit"):
+        for key in ("epoch", "unit", "num_shards"):  # one time layout and one key space: each has one value
             if meta[key] != like[key]:
-                raise ValueError(f"{key} must be {like[key]!r}, as periods are seconds from t = 0: {meta[key]!r}")
-        xz_cfg = XzConfig(resolution=meta["resolution"], period_len=meta["period_len"], num_shards=meta["num_shards"])
+                raise ValueError(f"{key} must be {like[key]!r}, the only layout a store has: {meta[key]!r}")
+        xz_cfg = XzConfig(resolution=meta["resolution"], period_len=meta["period_len"])
         seg_cfg = SegmentationConfig(d_seg=meta["d_seg"], t_seg=meta["t_seg"], max_speed=meta["max_speed"])
     except ValueError as exc:  # a JSONDecodeError too
         raise CliError(f"store {store_dir!r} has a malformed {META_NAME}: {exc}") from exc
@@ -177,13 +177,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _configs(args: argparse.Namespace) -> tuple[XzConfig, SegmentationConfig]:
     """The index and segmentation configuration an ``ingest`` asks for."""
-    return (XzConfig(resolution=args.resolution, period_len=args.period_len, num_shards=args.shards),
+    return (XzConfig(resolution=args.resolution, period_len=args.period_len),
             SegmentationConfig(d_seg=args.d_seg, t_seg=args.t_seg, max_speed=args.max_speed))
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     tracks = _load_query_csv(args.input, columns=True)
     xz_cfg, seg_cfg = _configs(args)
+    check_tracks(tracks, xz_cfg)  # before the store is made: a refused first ingest leaves nothing behind
     meta = _meta(xz_cfg, seg_cfg)
     meta_path = os.path.join(args.store, META_NAME)
     if os.path.isfile(meta_path):
@@ -293,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     xz_cfg, seg_cfg = XzConfig(), SegmentationConfig()
     p_ingest.add_argument("--resolution", type=int, default=xz_cfg.resolution, help="index quadtree depth")
     p_ingest.add_argument("--period-len", type=int, default=xz_cfg.period_len, help="time period seconds")
-    p_ingest.add_argument("--shards", type=int, default=xz_cfg.num_shards)
     p_ingest.add_argument("--d-seg", type=float, default=seg_cfg.d_seg, help="segment spatial bound (m)")
     p_ingest.add_argument("--t-seg", type=int, default=seg_cfg.t_seg, help="segment temporal bound (s)")
     p_ingest.add_argument("--max-speed", type=float, default=seg_cfg.max_speed, help="noise gate (m/s)")

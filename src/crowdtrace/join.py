@@ -37,15 +37,14 @@ def sft_build(
     segments: Sequence[Segment | QuerySegment], cfg: XzConfig, capacity: int = DEFAULT_LEAF_CAPACITY
 ) -> list[list[int]]:
     """The join's scan sets, as positions into ``segments``: ordered by the
-    ``xz2_codes`` cell code of each box under ``cfg``, its corners clamped to
-    ``cfg.world`` (a query outside it joins and finds nothing, as ``irq``
-    does), then by start time (ties keep their input order), and cut into
-    chunks of at most ``capacity``."""
+    ``xz2_codes`` cell code of each box under ``cfg`` (every box lies in the
+    world, as ``Location`` refuses a point outside it), then by start time
+    (ties keep their input order), and cut into chunks of at most
+    ``capacity``."""
     if capacity < 1:
         raise ValueError(f"leaf capacity must be at least 1, got {capacity}")
-    w = cfg.world
     boxes = np.array([(s.mbr.min_lon, s.mbr.min_lat, s.mbr.max_lon, s.mbr.max_lat) for s in segments]).reshape(-1, 4)
-    codes = xz2_codes(*np.clip(boxes, (w.min_lon, w.min_lat) * 2, (w.max_lon, w.max_lat) * 2).T, cfg)
+    codes = xz2_codes(*boxes.T, cfg)
     order = np.lexsort(([s.st for s in segments], codes)).tolist()
     return [order[k : k + capacity] for k in range(0, len(order), capacity)]
 

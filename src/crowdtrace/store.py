@@ -26,14 +26,15 @@ kernel pass gates noise, cuts stay-point segments, splits them at period
 boundaries and takes their boxes. Each segment's key and record are written
 from those columns, with every cell code of a batch computed at once, and
 a batch's segments go to one ``put_batch`` in input order. No ``Location``
-or ``Segment`` is built. One check of the time column comes first: a
-negative time, a time of ``TIME_LIMIT`` (2**53 s) or more, or one in a period
-past the last a key holds refuses the whole input before anything is written.
+or ``Segment`` is built. One check of the columns comes first
+(``check_tracks``): a point outside the world, a negative time, a time of
+``TIME_LIMIT`` (2**53 s) or more, or one in a period past the last a key
+holds refuses the whole input before anything is written.
 
 ``st_query`` expands a window by the spatial/temporal reach. A key starts
-with its shard and period, so the records of the window's periods are one
-contiguous span of keys a shard, and the exact box and time tests run over
-those spans' header columns directly, without planning curve ranges within
+with a zero byte and its period, so the records of the window's periods are
+one contiguous span of keys, and the exact box and time tests run over that
+span's header columns directly, without planning curve ranges within
 them. That gives the result of a full linear scan, and only records that
 pass are read and decoded.
 ``st_read`` does the same for many windows at once, and ``load_trajectory``
@@ -59,6 +60,7 @@ from .model import (
     BATCH_POINTS,
     EARTH_RADIUS_M,
     MBR,
+    WORLD,
     Cuts,
     Location,
     Segment,
@@ -80,7 +82,6 @@ from .xz import (
     bins_of,
     encode_key,
     period_spans,
-    shard_of,
     st_scan_ranges,
     xz2_codes,
 )
@@ -548,11 +549,30 @@ def ingest(
     one ``put_batch``, in input order, each as ``encode_key`` and
     ``encode_segment`` would write it. Re-ingesting
     identical data leaves the log unchanged; a changed segment overwrites its
-    key. A negative timestamp, one of ``TIME_LIMIT`` or more, or one whose
-    period number is past ``LAST_PERIOD`` refuses the whole input with a
-    ``ValueError`` raised before anything is written.
+    key. An input ``check_tracks`` refuses raises its ``ValueError`` before
+    anything is written.
     """
     tracks = trajectories if isinstance(trajectories, Tracks) else Tracks.of(list(trajectories))
+    check_tracks(tracks, xz_cfg)
+    written = 0
+    for batch in _batches(tracks):
+        frames = list(_frames(cut(batch, seg_cfg, **_storage_cuts(xz_cfg)), xz_cfg))
+        backend.put_batch(frames)
+        written += len(frames)
+    return written
+
+
+def check_tracks(tracks: Tracks, xz_cfg: XzConfig) -> None:
+    """Refuse, with a ``ValueError``, columns that ``ingest`` cannot store
+    whole: a longitude outside [-180, 180] or a latitude outside [-90, 90]
+    (NaN too, as every comparison with it fails), a negative timestamp, one
+    of ``TIME_LIMIT`` or more, or one whose period number is past
+    ``LAST_PERIOD``."""
+    lon, lat = tracks.lon, tracks.lat
+    inside = (lon >= WORLD.min_lon) & (lon <= WORLD.max_lon) & (lat >= WORLD.min_lat) & (lat <= WORLD.max_lat)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(f"point ({lon[i]}, {lat[i]}) lies outside the world, [-180, 180] x [-90, 90]")
     if len(tracks.t):
         first, last = int(tracks.t.min()), int(tracks.t.max())
         if first < 0:
@@ -561,12 +581,6 @@ def ingest(
             raise ValueError(f"timestamp {last} is not below 2**53 s, the limit of exact float64 times")
         if bin_of(last, xz_cfg) > LAST_PERIOD:
             raise ValueError(f"timestamp {last} falls in a period past the last one a key holds")
-    written = 0
-    for batch in _batches(tracks):
-        frames = list(_frames(cut(batch, seg_cfg, **_storage_cuts(xz_cfg)), xz_cfg))
-        backend.put_batch(frames)
-        written += len(frames)
-    return written
 
 
 def _batches(tracks: Tracks) -> Iterator[Tracks]:
@@ -604,7 +618,7 @@ def _frames(c: Cuts, xz_cfg: XzConfig) -> Iterator[tuple[bytes, bytes]]:
                xz2_codes(*c.boxes, xz_cfg).tolist(), starts.tolist(), ends.tolist())
     for j, (k, ordinal, b, code, s, e) in enumerate(rows):
         sid = names[k] + b"#%d" % ordinal
-        key = KEY_HEAD.pack(shard_of(sid, xz_cfg), b, code) + sid
+        key = KEY_HEAD.pack(0, b, code) + sid
         value = b"".join((head_bytes[j * h : (j + 1) * h], id_fields[k], _LEN.pack(len(sid)), sid,
                           _COUNT.pack(e - s), point_bytes[s * p : e * p]))
         yield key, value
@@ -652,13 +666,13 @@ def _window_positions(
     """Key-order positions of the records meeting the window and time range
     grown by the reach.
 
-    A row key starts with its shard and period, so the records of the grown
-    range's periods are one contiguous span of keys a shard
-    (``period_spans``), and the header tests run over all of them
-    (``refine``), once a box of ``expand_boxes``. The curve ranges
-    ``st_scan_ranges`` would plan lie within those spans, so on a store
-    ``ingest`` wrote this keeps exactly the records they would keep: every
-    record whose header meets the grown window.
+    A row key starts with a zero byte and its period, so the records of the
+    grown range's periods are one contiguous span of keys (``period_spans``),
+    and the header tests run over all of them (``refine``), once a box of
+    ``expand_boxes``. The curve ranges ``st_scan_ranges`` would plan lie
+    within that span, so on a store ``ingest`` wrote this keeps exactly the
+    records they would keep: every record whose header meets the grown
+    window.
     """
     t = expand_time_range(tr, theta_t)
     spans = period_spans(t, cfg)

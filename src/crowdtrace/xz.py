@@ -5,17 +5,18 @@ as large as the box on both axes that contains the box's min corner. Because
 the cell, doubled in width and height from its min corner, always covers the
 box, range planning over doubled cells never misses a stored segment.
 
-Cells are numbered by depth-first pre-order, so every subtree is one
-contiguous code interval. Row keys prepend a time-period number and a shard
-byte; all fields are big-endian so byte order equals logical order. A
-timestamp's period is ``t // period_len``: whole periods of ``period_len``
-seconds from t = 0.
+The quadtree spans the whole lon/lat world (``WORLD``); only its depth, the
+resolution, varies. Cells are numbered by depth-first pre-order, so every
+subtree is one contiguous code interval. A row key is a zero byte, the
+time-period number, the cell code and the segment id; all fields are
+big-endian so byte order equals logical order. A timestamp's period is
+``t // period_len``: whole periods of ``period_len`` seconds from t = 0.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +25,17 @@ from .model import MBR, WORLD, Segment, TimeRange
 
 @dataclass(frozen=True, slots=True)
 class XzConfig:
-    """Index geometry: quadtree depth, world extent and time binning, in
-    periods of ``period_len`` seconds from t = 0."""
+    """Index geometry: quadtree depth over the whole world and time binning,
+    in periods of ``period_len`` seconds from t = 0."""
 
     resolution: int = 15
-    world: MBR = field(default_factory=lambda: WORLD)
     period_len: int = 86_400
-    num_shards: int = 1
 
     def __post_init__(self) -> None:
         if not 1 <= self.resolution <= 31:
             raise ValueError(f"resolution must be in [1, 31]: {self.resolution}")
         if not 0 < self.period_len < 2**63:
             raise ValueError(f"period_len must be positive and fit a signed 64-bit int of seconds: {self.period_len}")
-        if not 1 <= self.num_shards <= 256:
-            raise ValueError("num_shards must be in [1, 256]")
 
     def total_elements(self) -> int:
         """Number of quadtree cells at all depths up to the resolution."""
@@ -66,26 +63,20 @@ class XzElement:
         return x0, y0, side
 
 
-KEY_HEAD = struct.Struct(">BIQ")  # a row key's shard byte, period number and cell code; the sid follows
+KEY_HEAD = struct.Struct(">BIQ")  # a row key's zero byte, period number and cell code; the sid follows
 LAST_PERIOD = 2**32 - 1  # the largest period number a key holds
 
 
 @dataclass(frozen=True, slots=True)
 class STKey:
-    """Decoded row key: shard byte, period number, cell code, segment id."""
+    """Row key fields: period number, cell code, segment id."""
 
-    shard: int
     bin: int
     xz2: int
     sid: str
 
     def packed(self) -> bytes:
-        return KEY_HEAD.pack(self.shard, self.bin, self.xz2) + self.sid.encode("utf-8")
-
-    @classmethod
-    def parse(cls, key: bytes) -> "STKey":
-        shard, bin_, xz2 = KEY_HEAD.unpack_from(key)
-        return cls(shard, bin_, xz2, key[KEY_HEAD.size :].decode("utf-8"))
+        return KEY_HEAD.pack(0, self.bin, self.xz2) + self.sid.encode("utf-8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,16 +91,9 @@ class ScanRange:
             raise ValueError("scan range must be non-empty")
 
 
-def _normalize(min_lon, min_lat, max_lon, max_lat, world: MBR):
+def _normalize(min_lon, min_lat, max_lon, max_lat):
     """Box corners (floats or arrays) as fractions of the world's extent."""
-    w = world.max_lon - world.min_lon
-    h = world.max_lat - world.min_lat
-    return (
-        (min_lon - world.min_lon) / w,
-        (min_lat - world.min_lat) / h,
-        (max_lon - world.min_lon) / w,
-        (max_lat - world.min_lat) / h,
-    )
+    return (min_lon + 180.0) / 360.0, (min_lat + 90.0) / 180.0, (max_lon + 180.0) / 360.0, (max_lat + 90.0) / 180.0
 
 
 def xz2_cells(
@@ -125,13 +109,12 @@ def xz2_cells(
     its min corner covers the whole box. Both are exact: scaling by a power of
     two and the comparisons against ``0.5**depth`` round nothing.
     """
-    world = cfg.world
     lon0, lat0, lon1, lat1 = (np.asarray(c, np.float64) for c in (min_lon, min_lat, max_lon, max_lat))
-    outside = (lon0 < world.min_lon) | (lat0 < world.min_lat) | (lon1 > world.max_lon) | (lat1 > world.max_lat)
-    if outside.any():
-        i = int(np.argmax(outside))
+    inside = (lon0 >= WORLD.min_lon) & (lat0 >= WORLD.min_lat) & (lon1 <= WORLD.max_lon) & (lat1 <= WORLD.max_lat)
+    if not inside.all():  # a NaN corner too
+        i = int(np.argmin(inside))
         raise ValueError(f"mbr outside indexed world: {MBR(lon0[i], lat0[i], lon1[i], lat1[i])}")
-    x0, y0, x1, y1 = _normalize(lon0, lat0, lon1, lat1, world)
+    x0, y0, x1, y1 = _normalize(lon0, lat0, lon1, lat1)
     extent = np.maximum(x1 - x0, y1 - y0)
 
     g = cfg.resolution
@@ -204,30 +187,12 @@ def bins_of(t: np.ndarray, cfg: XzConfig) -> np.ndarray:
     return t // cfg.period_len
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def shard_of(sid: bytes, cfg: XzConfig) -> int:
-    """The shard byte of a UTF-8 segment id."""
-    return 0 if cfg.num_shards == 1 else _fnv1a64(sid) % cfg.num_shards
-
-
 def encode_key(seg: Segment, cfg: XzConfig) -> STKey:
     """Row key of a segment. The segment must fit inside one time period."""
     b = bin_of(seg.st, cfg)
     if bin_of(seg.et, cfg) != b:
         raise ValueError(f"segment {seg.sid!r} spans multiple time periods")
-    return STKey(
-        shard=shard_of(seg.sid.encode("utf-8"), cfg),
-        bin=b,
-        xz2=int(xz2_codes(*([v] for v in _corners(seg.mbr)), cfg)[0]),
-        sid=seg.sid,
-    )
+    return STKey(bin=b, xz2=int(xz2_codes(*([v] for v in _corners(seg.mbr)), cfg)[0]), sid=seg.sid)
 
 
 def spatial_scan_ranges(window: MBR, cfg: XzConfig) -> list[tuple[int, int]]:
@@ -238,7 +203,7 @@ def spatial_scan_ranges(window: MBR, cfg: XzConfig) -> list[tuple[int, int]]:
     box intersects the window; callers refine with the exact box test.
     Adjacent and overlapping intervals are coalesced.
     """
-    wx0, wy0, wx1, wy1 = _normalize(*_corners(window), cfg.world)
+    wx0, wy0, wx1, wy1 = _normalize(*_corners(window))
     wx0, wy0 = max(wx0, 0.0), max(wy0, 0.0)
     wx1, wy1 = min(wx1, 1.0), min(wy1, 1.0)
     if wx0 > wx1 or wy0 > wy1:
@@ -292,30 +257,19 @@ def _periods(tr: TimeRange, cfg: XzConfig) -> range:
 
 
 def st_scan_ranges(window: MBR, tr: TimeRange, cfg: XzConfig) -> list[ScanRange]:
-    """Key scan ranges for a window and time range, across shards and the
-    periods of ``_periods``."""
-    spatial, periods = spatial_scan_ranges(window, cfg), _periods(tr, cfg)
-    ranges = [
-        ScanRange(
-            low=KEY_HEAD.pack(shard, b, lo),
-            high=KEY_HEAD.pack(shard, b, hi),
-        )
-        for shard in range(cfg.num_shards)
-        for b in periods
-        for lo, hi in spatial
-    ]
-    ranges.sort(key=lambda r: r.low)
-    return ranges
+    """Key scan ranges for a window and time range over the periods of
+    ``_periods``, in key order."""
+    spatial = spatial_scan_ranges(window, cfg)
+    return [ScanRange(KEY_HEAD.pack(0, b, lo), KEY_HEAD.pack(0, b, hi))
+            for b in _periods(tr, cfg) for lo, hi in spatial]
 
 
 def period_spans(tr: TimeRange, cfg: XzConfig) -> list[ScanRange]:
-    """One key range a shard over every cell code of the periods of
-    ``_periods``, so it holds every range ``st_scan_ranges`` plans for any
-    window and ``tr``. A key starts with its shard and period, so each is
-    one contiguous span of the sorted keys."""
+    """One key range over every cell code of the periods of ``_periods``, so
+    it holds every range ``st_scan_ranges`` plans for any window and ``tr``.
+    A key starts with a zero byte and its period, so the span is contiguous
+    in the sorted keys; none when there are no periods."""
     periods = _periods(tr, cfg)
     if not periods:
         return []
-    top = cfg.total_elements()
-    return [ScanRange(KEY_HEAD.pack(shard, periods[0], 0), KEY_HEAD.pack(shard, periods[-1], top))
-            for shard in range(cfg.num_shards)]
+    return [ScanRange(KEY_HEAD.pack(0, periods[0], 0), KEY_HEAD.pack(0, periods[-1], cfg.total_elements()))]

@@ -46,19 +46,20 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass
 from itertools import groupby, islice
 
 import numpy as np
 
 from crowdtrace.metric import PointArray, QueryParams, segment_ir, span_weight
-from crowdtrace.model import MBR, Location, Segment, SegmentationConfig, TimeRange, Trajectory
+from crowdtrace.model import MBR, WORLD, Location, Segment, SegmentationConfig, TimeRange, Trajectory
 from crowdtrace.query import ALL_LEMMAS, COUNTER_KEYS
 from crowdtrace.store import (
     _COUNT, _FRAME, _HEADER, _LEN, _LOG_MAGIC, _NO_HEADER, _PEEK, _POINT, _POINT_DTYPE, Retrieved,
     _unpack, _window_positions, decode_segment, encode_segment, expand_boxes, st_query,
 )
-from crowdtrace.xz import XzConfig, XzElement, bin_of, encode_key, sequence_code
+from crowdtrace.xz import XzConfig, XzElement, bin_of, sequence_code
 
 
 def load_trajectories_csv(source):
@@ -98,12 +99,12 @@ def load_trajectories_csv(source):
 def xz2_element(mbr: MBR, cfg: XzConfig) -> XzElement:
     """The deepest cell (up to the resolution) covering the box on both axes,
     found by descending the quadtree along the box's min corner."""
-    if not cfg.world.contains(mbr):
+    if not WORLD.contains(mbr):
         raise ValueError(f"mbr outside indexed world: {mbr}")
-    w = cfg.world.max_lon - cfg.world.min_lon
-    h = cfg.world.max_lat - cfg.world.min_lat
-    x0, y0 = (mbr.min_lon - cfg.world.min_lon) / w, (mbr.min_lat - cfg.world.min_lat) / h
-    x1, y1 = (mbr.max_lon - cfg.world.min_lon) / w, (mbr.max_lat - cfg.world.min_lat) / h
+    w = WORLD.max_lon - WORLD.min_lon
+    h = WORLD.max_lat - WORLD.min_lat
+    x0, y0 = (mbr.min_lon - WORLD.min_lon) / w, (mbr.min_lat - WORLD.min_lat) / h
+    x1, y1 = (mbr.max_lon - WORLD.min_lon) / w, (mbr.max_lat - WORLD.min_lat) / h
     extent = max(x1 - x0, y1 - y0)
 
     if extent <= 0.0:
@@ -187,10 +188,11 @@ def storage_segments(traj: Trajectory, xz_cfg: XzConfig, seg_cfg: SegmentationCo
 
 def frames(trajectories, xz_cfg: XzConfig, seg_cfg: SegmentationConfig) -> list[tuple[bytes, bytes]]:
     """The (key, value) puts of an ingest, in order, through the reference
-    loops, with cell codes from the quadtree descent."""
+    loops: a key is a zero byte, the period of the segment's start, the cell
+    code from the quadtree descent and the sid, big-endian."""
     return [
-        (replace(encode_key(seg, xz_cfg), xz2=sequence_code(xz2_element(seg.mbr, xz_cfg), xz_cfg)).packed(),
-         encode_segment(seg))
+        (struct.pack(">BIQ", 0, bin_of(seg.st, xz_cfg), sequence_code(xz2_element(seg.mbr, xz_cfg), xz_cfg))
+         + seg.sid.encode("utf-8"), encode_segment(seg))
         for traj in trajectories
         for seg in storage_segments(traj, xz_cfg, seg_cfg)
     ]

@@ -299,7 +299,7 @@ def test_a5_scan_plan_soundness():
     with criterion("A5", "st_query equals a linear scan for 1000 queries over 10^4 segments"):
         start = time.perf_counter()
         rng = random.Random(55)
-        cfg = XzConfig(resolution=6, period_len=3600, num_shards=2)
+        cfg = XzConfig(resolution=6, period_len=3600)
         backend = MemoryBackend()
         stored = []
         for i in range(10_000):

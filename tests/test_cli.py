@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -327,6 +328,24 @@ def test_join_has_no_resolution_flag(tmp_path, capsys):
     assert "unrecognized arguments: --resolution 12" in capsys.readouterr().err
 
 
+def test_ingest_has_no_shards_flag(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    write_twin_csv(points)
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exit_:
+        main(["ingest", "--input", str(points), "--store", str(store), "--shards", "4"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_every_config_field_is_recorded_in_meta():
+    # a field a caller can set but meta.json does not record would build keys no query could find
+    meta = cli._meta(XzConfig(), SegmentationConfig())
+    for config in (XzConfig, SegmentationConfig):
+        assert {f.name for f in dataclasses.fields(config)} <= meta.keys()
+
+
 def test_reingest_of_the_same_csv_appends_no_frame(tmp_path, capsys):
     points = tmp_path / "points.csv"
     store = tmp_path / "store"
@@ -349,7 +368,7 @@ def test_ingest_of_a_timestamp_past_the_key_is_one_line_error(tmp_path, capsys, 
     assert got == code
     if code:
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
-        assert log_frames(store / "segments.log") == []
+        assert not store.exists()
     else:
         assert len(log_frames(store / "segments.log")) == 1
 
@@ -365,9 +384,23 @@ def test_ingest_of_a_time_float64_does_not_hold_exactly_is_one_line_error(tmp_pa
     if code:
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
         assert "2**53" in err
-        assert log_frames(store / "segments.log") == []
+        assert not store.exists()
     else:
         assert len(log_frames(store / "segments.log")) == 1
+
+
+def test_a_refused_first_ingest_leaves_no_store(tmp_path, capsys):
+    # the refusal comes before the store is made, so it records no period_len a retry must repeat
+    points = tmp_path / "points.csv"
+    points.write_text(f"s,116.39,39.9,{2**60 + 220}\n")
+    store = tmp_path / "store"
+    store.mkdir()
+    code, _, err = run(["ingest", "--input", str(points), "--store", str(store), "--period-len", str(2**62)], capsys)
+    assert code == 2 and err.startswith("error:")
+    assert sorted(store.iterdir()) == []
+    write_twin_csv(points)
+    code, out, _ = run(["ingest", "--input", str(points), "--store", str(store)], capsys)
+    assert code == 0 and out.startswith("ingested 2 segments")
 
 
 @pytest.mark.parametrize("command", ["query", "join"])
@@ -390,6 +423,7 @@ _BAD_META = {
     "unknown unit": None,  # the meta ingest wrote, with its unit replaced
     "unit day": None,  # the same, with a unit other than the seconds periods count in
     "epoch 5": None,  # the same, with periods counted from a time other than 0
+    "num_shards 4": None,  # the same, with keys spread over shards a store does not have
     "text resolution": None,  # the same, with its resolution as text
     "NaN max_speed": None,  # the same, with a max_speed the noise gate cannot use
     "a list": "[1]",
@@ -411,6 +445,8 @@ def test_a_malformed_meta_is_one_line_error(tmp_path, capsys, case, command):
         meta["unit"] = "day"
     if case == "epoch 5":
         meta["epoch"] = 5
+    if case == "num_shards 4":
+        meta["num_shards"] = 4
     if case == "text resolution":
         meta["resolution"] = "15"
     if case == "NaN max_speed":
@@ -423,7 +459,7 @@ def test_a_malformed_meta_is_one_line_error(tmp_path, capsys, case, command):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert repr(str(store)) in err and "meta.json" in err
-    if case in ("unit day", "epoch 5"):
+    if case in ("unit day", "epoch 5", "num_shards 4"):
         assert f"{case.split()[0]} must be" in err
     assert (store / "segments.log").read_bytes() == log
 
@@ -439,7 +475,7 @@ _FLOAT_FLAGS = {
 _NUMERIC_CASES = [
     *((command, flag, value) for command, flags in _FLOAT_FLAGS.items() for flag in flags
       for value in ("nan", "inf", "-inf")),
-    *(("ingest", flag, "99999999999999999999") for flag in ("--period-len", "--t-seg", "--resolution", "--shards")),
+    *(("ingest", flag, "99999999999999999999") for flag in ("--period-len", "--t-seg", "--resolution")),
 ]
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import crowdtrace.query as query_mod
 import reference
 from crowdtrace import (
-    MBR,
     GenConfig,
     Location,
     MemoryBackend,
@@ -26,7 +25,6 @@ from crowdtrace import (
     sequence_code,
     sft_build,
 )
-from crowdtrace.model import WORLD
 from crowdtrace.query import query_segments
 from crowdtrace.store import st_read
 from conftest import build_workload, loc
@@ -59,9 +57,7 @@ def test_chunks_follow_known_cell_codes():
     assert [[segs[k].sid for k in chunk] for chunk in chunks] == [["sw#0", "se#0"], ["nw#0", "ne2#0"], ["ne#0"]]
 
 
-# worlds whose quadrant midlines hold signed zeros, and one that most boxes fall outside of
-WORLDS = [WORLD, MBR(-1.0, -1.0, 1.0, 1.0), MBR(116.0, 39.0, 117.0, 40.0)]
-# corners on the midlines of the first levels of each world, signed zeros included, and anywhere
+# corners on the midlines of the world's first levels, signed zeros included, near and off them, and anywhere
 LONS = st.one_of(
     st.sampled_from([-180.0, -90.0, -45.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 45.0, 90.0, 116.0, 116.5, 117.0, 180.0]),
     st.floats(-180.0, 180.0),
@@ -87,25 +83,18 @@ def segment_sets(draw):
     return segs
 
 
-def _clamped(box, world):
-    lon = [min(max(v, world.min_lon), world.max_lon) for v in (box.min_lon, box.max_lon)]
-    lat = [min(max(v, world.min_lat), world.max_lat) for v in (box.min_lat, box.max_lat)]
-    return MBR(lon[0], lat[0], lon[1], lat[1])
-
-
-@given(segment_sets(), st.integers(1, 31), st.sampled_from(WORLDS), st.integers(1, 64))
+@given(segment_sets(), st.integers(1, 31), st.integers(1, 64))
 @settings(max_examples=300, deadline=None)
-def test_every_segment_reachable_exactly_once(segs, resolution, world, capacity):
-    cfg = XzConfig(resolution=resolution, world=world)
+def test_every_segment_reachable_exactly_once(segs, resolution, capacity):
+    cfg = XzConfig(resolution=resolution)
     chunks = sft_build(segs, cfg, capacity)
     order = [k for chunk in chunks for k in chunk]
     assert sorted(order) == list(range(len(segs)))
     # full chunks of capacity, but for the last
     assert [len(chunk) for chunk in chunks[:-1]] == [capacity] * (len(chunks) - 1)
     assert 1 <= len(chunks[-1]) <= capacity
-    # by the cell code of the box clamped to the world, then start time, then input order
-    keys = [(sequence_code(reference.xz2_element(_clamped(segs[k].mbr, world), cfg), cfg), segs[k].st, k)
-            for k in order]
+    # by the cell code of the box, then start time, then input order
+    keys = [(sequence_code(reference.xz2_element(segs[k].mbr, cfg), cfg), segs[k].st, k) for k in order]
     assert keys == sorted(keys)
 
 
@@ -258,13 +247,3 @@ def test_resolution_invariance():
         outputs.append(irjq(w.trajectories[:6], P, w.backend, w.xz_cfg, w.seg_cfg))
     assert outputs[0] == outputs[1] == outputs[2]
 
-
-def test_queries_outside_the_world_join_and_find_nothing():
-    cfg = XzConfig(resolution=12, world=MBR(116.0, 39.0, 117.0, 40.0))
-    backend = MemoryBackend()
-    ingest([Trajectory("stored", [loc(0, 0, 0), loc(10, 0, 60)])], cfg, SEG, backend)
-    inside = Trajectory("inside", [loc(0, 0, 0), loc(10, 0, 60)])
-    outside = Trajectory("outside", [loc(0, 0, 0, lon0=10.0, lat0=10.0), loc(10, 0, 60, lon0=10.0, lat0=10.0)])
-    assert irq(outside, P, backend, cfg, SEG) == []
-    joined = irjq([outside, inside], P, backend, cfg, SEG, capacity=1)
-    assert [(q, tid) for q, tid, _ in joined] == [("inside", "stored")]

@@ -100,9 +100,10 @@ def test_element_for_whole_world_is_root():
 def test_element_outside_world_rejected():
     from crowdtrace import xz2_element
 
-    cfg = XzConfig(resolution=4, world=MBR(0.0, 0.0, 10.0, 10.0))
-    with pytest.raises(ValueError):
-        xz2_element(MBR(-1.0, 0.0, 5.0, 5.0), cfg)
+    cfg = XzConfig(resolution=4)
+    for box in (MBR(-181.0, 0.0, 5.0, 5.0), MBR(math.nan, 0.0, 5.0, 5.0)):
+        with pytest.raises(ValueError):
+            xz2_element(box, cfg)
 
 
 def test_element_assignment_properties():
@@ -130,15 +131,12 @@ def test_element_assignment_properties():
 
 # --- closed-form cells against the quadtree descent ------------------------------
 
-CITY = MBR(100.0, 30.0, 120.0, 50.0)  # a world other than the default
-
-
 @st.composite
-def boxes(draw, world):
-    """Boxes inside ``world``: random ones of any size, ones whose min corner
+def boxes(draw):
+    """Boxes inside the world: random ones of any size, ones whose min corner
     or extent sits on or one ulp off a dyadic cell edge, corners on the
     world's edges, and points."""
-    w, h = world.max_lon - world.min_lon, world.max_lat - world.min_lat
+    w, h = WORLD.max_lon - WORLD.min_lon, WORLD.max_lat - WORLD.min_lat
     nudge = st.sampled_from([-math.inf, None, None, math.inf])
 
     def coord(lo, span):
@@ -162,9 +160,9 @@ def boxes(draw, world):
         toward = draw(nudge)
         return e if toward is None else max(0.0, math.nextafter(e, toward))
 
-    x0 = min(max(coord(world.min_lon, w), world.min_lon), world.max_lon)
-    y0 = min(max(coord(world.min_lat, h), world.min_lat), world.max_lat)
-    return MBR(x0, y0, min(x0 + extent(w), world.max_lon), min(y0 + extent(h), world.max_lat))
+    x0 = min(max(coord(WORLD.min_lon, w), WORLD.min_lon), WORLD.max_lon)
+    y0 = min(max(coord(WORLD.min_lat, h), WORLD.min_lat), WORLD.max_lat)
+    return MBR(x0, y0, min(x0 + extent(w), WORLD.max_lon), min(y0 + extent(h), WORLD.max_lat))
 
 
 def _columns(box_list):
@@ -173,8 +171,7 @@ def _columns(box_list):
 
 @st.composite
 def layouts(draw):
-    world = draw(st.sampled_from([WORLD, CITY]))
-    return XzConfig(resolution=draw(st.integers(1, 31)), world=world), draw(st.lists(boxes(world), min_size=1, max_size=30))
+    return XzConfig(resolution=draw(st.integers(1, 31))), draw(st.lists(boxes(), min_size=1, max_size=30))
 
 
 @given(layouts())
@@ -203,7 +200,7 @@ def test_closed_form_cells_on_the_world_edges(g):
 
 
 def test_closed_form_keys_match_descent_keys():
-    cfg = XzConfig(resolution=15, num_shards=4)
+    cfg = XzConfig(resolution=15)
     rng = random.Random(9)
     for i in range(300):
         x, y = rng.uniform(-180, 179), rng.uniform(-90, 89)
@@ -212,10 +209,11 @@ def test_closed_form_keys_match_descent_keys():
         assert key.xz2 == sequence_code(reference.xz2_element(seg.mbr, cfg), cfg)
 
 
-@pytest.mark.parametrize("box", [MBR(99.0, 40.0, 101.0, 41.0), MBR(110.0, 40.0, 121.0, 41.0),
-                                 MBR(110.0, 29.5, 111.0, 31.0), MBR(110.0, 40.0, 111.0, 50.5)])
+@pytest.mark.parametrize("box", [MBR(-180.5, 40.0, 101.0, 41.0), MBR(110.0, 40.0, 180.5, 41.0),
+                                 MBR(110.0, -90.5, 111.0, 31.0), MBR(110.0, 40.0, 111.0, 90.5),
+                                 MBR(math.nan, 40.0, 111.0, 41.0), MBR(110.0, 40.0, 111.0, math.nan)])
 def test_boxes_outside_the_world_raise(box):
-    cfg = XzConfig(resolution=8, world=CITY)
+    cfg = XzConfig(resolution=8)
     with pytest.raises(ValueError, match="outside indexed world"):
         reference.xz2_element(box, cfg)
     with pytest.raises(ValueError, match="outside indexed world"):
@@ -307,14 +305,14 @@ def test_key_layout_and_parse():
     key = encode_key(seg, cfg)
     raw = key.packed()
     assert len(raw) == 13 + len(b"tr#0")
-    assert STKey.parse(raw) == key
-    shard, bin_, code = struct.unpack_from(">BIQ", raw)
-    assert (shard, bin_, code) == (key.shard, key.bin, key.xz2)
+    zero, bin_, code = struct.unpack_from(">BIQ", raw)
+    assert STKey(bin_, code, raw[13:].decode("utf-8")) == key
+    assert (zero, bin_, code) == (0, key.bin, key.xz2)
     assert raw[13:] == b"tr#0"
 
 
 def test_same_geometry_different_sid_differ_only_in_suffix():
-    cfg = XzConfig(num_shards=1)
+    cfg = XzConfig()
     a = Segment.build("tr#0", "tr", [loc(0, 0, 50), loc(5, 0, 110)])
     b = Segment.build("tr#1", "tr", [loc(0, 0, 50), loc(5, 0, 110)])
     ka, kb = encode_key(a, cfg).packed(), encode_key(b, cfg).packed()
@@ -323,7 +321,7 @@ def test_same_geometry_different_sid_differ_only_in_suffix():
 
 
 def test_single_shard_keys_start_with_zero_byte():
-    cfg = XzConfig(num_shards=1)
+    cfg = XzConfig()
     for i in range(20):
         raw = encode_key(_segment(f"t{i}#0", east=i * 50.0), cfg).packed()
         assert raw[0] == 0
@@ -338,7 +336,7 @@ def test_cross_period_segment_rejected():
 
 def test_key_byte_order_equals_tuple_order():
     rng = random.Random(7)
-    cfg = XzConfig(resolution=12, num_shards=8, period_len=600)
+    cfg = XzConfig(resolution=12, period_len=600)
     keys = []
     for i in range(10_000):
         east = rng.uniform(-2_000_000, 2_000_000)
@@ -351,7 +349,7 @@ def test_key_byte_order_equals_tuple_order():
         )
         keys.append(encode_key(seg, cfg))
     by_bytes = sorted(keys, key=lambda k: k.packed())
-    by_tuple = sorted(keys, key=lambda k: (k.shard, k.bin, k.xz2, k.sid))
+    by_tuple = sorted(keys, key=lambda k: (k.bin, k.xz2, k.sid))
     assert [k.packed() for k in by_bytes] == [k.packed() for k in by_tuple]
 
 
@@ -421,15 +419,16 @@ def test_scan_ranges_sorted_and_disjoint():
 
 
 def test_disjoint_window_yields_nothing():
-    cfg = XzConfig(resolution=4, world=MBR(0.0, 0.0, 10.0, 10.0))
-    assert spatial_scan_ranges(MBR(20.0, 20.0, 30.0, 30.0), cfg) == []
+    cfg = XzConfig(resolution=4)
+    assert spatial_scan_ranges(MBR(190.0, 20.0, 200.0, 30.0), cfg) == []
+    assert spatial_scan_ranges(MBR(20.0, 95.0, 30.0, 100.0), cfg) == []
 
 
 # --- spatio-temporal ranges --------------------------------------------------------
 
 
 def test_st_ranges_single_bin_single_shard():
-    cfg = XzConfig(resolution=4, period_len=1000, num_shards=1)
+    cfg = XzConfig(resolution=4, period_len=1000)
     window = MBR(10.0, 10.0, 11.0, 11.0)
     k = len(spatial_scan_ranges(window, cfg))
     ranges = st_scan_ranges(window, TimeRange(1500, 1600), cfg)
@@ -437,14 +436,8 @@ def test_st_ranges_single_bin_single_shard():
     assert len(ranges) == 2 * k
     bins = {struct.unpack_from(">BIQ", r.low)[1] for r in ranges}
     assert bins == {0, 1}
-
-
-def test_st_ranges_three_bins_two_shards_counting():
-    cfg = XzConfig(resolution=4, period_len=1000, num_shards=2)
-    window = MBR(10.0, 10.0, 11.0, 11.0)
-    k = len(spatial_scan_ranges(window, cfg))
     ranges = st_scan_ranges(window, TimeRange(1100, 3900), cfg)  # bins 1..3 plus leading 0
-    assert len(ranges) == 2 * 4 * k
+    assert len(ranges) == 4 * k
     assert [r.low for r in ranges] == sorted(r.low for r in ranges)
 
 
